@@ -205,6 +205,106 @@ class TestPerronSolve:
         assert list(sweeps) == list(range(1, info.sweeps + 1))
 
 
+def dense_jacobi_radius(dom, weights):
+    """Spectral radius of the dense Jacobi matrix of <D^2 u, diag(w)> = 0,
+    assembled node by node from the stencil tables (ghost sides weigh
+    1/theta on the diagonal and couple to no unknown)."""
+    st = dh._build_stencil(dom, lambda p: np.zeros(len(p)))
+    m = st.flat_interior.size
+    pos = np.full(int(np.prod(dom.shape)), -1)
+    pos[st.flat_interior] = np.arange(m)
+    jac = np.zeros((m, m))
+    diag = np.zeros(m)
+    for axis, w in enumerate(weights):
+        for nbs, thetas in ((st.axis_plus, st.theta_plus),
+                            (st.axis_minus, st.theta_minus)):
+            col = pos[nbs[:, axis]]
+            inner = np.flatnonzero(col >= 0)
+            jac[inner, col[inner]] += w
+            diag += w / thetas[:, axis]
+    return float(np.abs(np.linalg.eigvals(jac / diag[:, None])).max())
+
+
+class TestOverRelaxation:
+    @pytest.mark.parametrize("lo, hi, h, weights", [
+        ([0.0], [1.0], 1 / 8, [1.0]),
+        ([0.0, 0.0], [1.0, 0.75], 1 / 8, [0.5, 0.5]),
+        ([0.0, 0.0], [1.0, 0.75], 1 / 8, [1.0, 0.0]),
+        ([0.0, 0.0], [1.0, 0.75], 1 / 8, [0.7, 0.3]),
+        ([0.0, 0.0, 0.0], [1.0, 0.75, 1.25], 1 / 4, [0.2, 0.5, 0.3]),
+    ])
+    def test_radius_exact_on_boxes(self, lo, hi, h, weights):
+        dom = dh.GridDomain.box(lo, hi, h)
+        w = np.array(weights)
+        assert dh._jacobi_radius(dom, w) == pytest.approx(
+            dense_jacobi_radius(dom, w), abs=1e-12)
+
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.ball(1.0, 1 / 4),
+        dh.GridDomain.ball(1.0, 1 / 8),
+        dh.GridDomain.ball(1.0, 0.3, dim=3),
+    ], ids=["disk-1/4", "disk-1/8", "ball3-0.3"])
+    def test_radius_bounds_balls(self, dom):
+        w = np.full(dom.n, 1.0 / dom.n)
+        dense = dense_jacobi_radius(dom, w)
+        assert dense <= dh._jacobi_radius(dom, w) < 1.0
+
+    def test_disk_sweeps_linear_in_inverse_h(self):
+        lap = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 32)
+        harm = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+        u, info = dh.perron_solve(lap, dom, harm, ordering="redblack", tol=1e-10)
+        assert info.converged and info.sweeps <= 400
+        assert info.omega > 1.0
+        err = np.abs(u.values - exact_field(dom, harm))[dom.interior].max()
+        assert err <= 5e-2
+
+    def test_matches_gauss_seidel_reference(self):
+        lap = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.box([-1.0, 0.0], [1.0, 1.0], 1 / 4)
+        phi = lambda p: np.cos(2 * p[:, 0]) + p[:, 0] * p[:, 1] ** 2
+        u1, info1 = dh.perron_solve(lap, dom, phi, ordering="redblack", tol=1e-11)
+        u2, info2 = dh.perron_solve(lap, dom, phi, tol=1e-11, use_bisection=True)
+        assert info1.converged and info2.converged
+        assert info1.omega > 1.0 and info2.omega == 1.0
+        assert np.abs(u1.values - u2.values)[dom.interior].max() <= 1e-8
+
+    def test_plain_routes_report_unit_omega(self):
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 4)
+        phi = lambda p: p[:, 0] ** 2
+        for cone in (cat.build_cone("P", 2),
+                     cn.HalfspaceCone(np.array([[1.0, 0.3], [0.3, 1.0]]))):
+            _, info = dh.perron_solve(cone, dom, phi, ordering="redblack",
+                                      tol=1e-10)
+            assert info.converged and info.omega == 1.0
+
+
+class TestSolverInput:
+    @pytest.fixture
+    def no_stencil(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("stencil built before the input was checked")
+        monkeypatch.setattr(dh, "_build_stencil", fail)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"ordering": "zigzag"}, "ordering"),
+        ({"init": "mean"}, "init"),
+    ])
+    def test_bad_options(self, no_stencil, kwargs, name):
+        lap = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 4)
+        with pytest.raises(ValueError, match=name):
+            dh.perron_solve(lap, dom, lambda p: p[:, 0], **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_boundary_values(self, no_stencil, bad):
+        lap = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 4)
+        phi = lambda p: np.where(p[:, 0] > 0.5, bad, p[:, 1])
+        with pytest.raises(ValueError, match="phi"):
+            dh.perron_solve(lap, dom, phi, ordering="redblack")
+
+
 class TestEnvelope:
     def test_hand_lp_symmetric(self):
         dom = dh.GridDomain.box([-1.0], [1.0], 0.5)
