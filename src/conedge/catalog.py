@@ -1,11 +1,14 @@
 """Named cone catalog.
 
 Each entry names a minimal cone by its invariance group, the component
-names of its edge, and a default ambient dimension.  Entries whose polar
-cone has a usable closed form carry a fast margin function that agrees
-exactly with the translate-optimizer margin (both compute the same
-pairing minimum over the polar base); the agreement is part of the test
-suite, so neither route may be removed.
+names of its edge, and a default ambient dimension.  A cone is fixed by
+its edge, so the closed-form margins are chosen by the edge's component
+set, never by the entry's name: any entry whose edge has a closed form
+gets it.  Each closed form is one batch kernel over a stack of matrices
+(a single margin is the batch of one) and agrees exactly with the
+translate-optimizer margin (both compute the same pairing minimum over
+the polar base); the agreement is part of the test suite, so neither
+route may be removed.
 
 The catalog file format is a small INI-like key-value text:
 
@@ -80,120 +83,66 @@ def edge_from_components(group: st.Group, components) -> SymSubspace:
 
 
 # ----------------------------------------------------------------------
-# closed-form margins (each equals min <A, Z> over the polar base tr Z = 1)
+# closed-form margins, chosen by the edge: each factory takes the ambient
+# dimension and returns one stack kernel (m, n, n) -> (m,) equal to
+# min <A, Z> over the polar base tr Z = 1
 # ----------------------------------------------------------------------
 
-def _psd_margin(a):
-    return float(np.linalg.eigvalsh(a)[0])
+def _psd(n):
+    return lambda a: np.linalg.eigvalsh(a)[..., 0]
 
 
-def _psd_margin_batch(a):
-    return np.linalg.eigvalsh(a)[..., 0]
+def _trace(n):
+    return lambda a: np.trace(a, axis1=-2, axis2=-1) / n
 
 
-def _trace_margin(n):
-    def margin(a):
-        return float(np.trace(a)) / n
-
-    def batch(a):
-        return np.trace(a, axis1=-2, axis2=-1) / n
-
-    return margin, batch
+def _hermitian(n):
+    i_mat = st.complex_structure(n)
+    return lambda a: np.linalg.eigvalsh(st.complex_sym_part(a, i_mat))[..., 0]
 
 
-def _complex_margin(n_real):
-    i_mat = st.complex_structure(n_real)
-
-    def margin(a):
-        return float(np.linalg.eigvalsh(0.5 * (a - i_mat @ a @ i_mat))[0])
-
-    def batch(a):
-        sym = 0.5 * (a - np.einsum("ij,mjk,kl->mil", i_mat, a, i_mat))
-        return np.linalg.eigvalsh(sym)[..., 0]
-
-    return margin, batch
+def _quaternionic(n):
+    trip = st.quaternion_triple(n // 4)
+    return lambda a: np.linalg.eigvalsh(st.quat_sym_part(a, trip))[..., 0]
 
 
-def _quaternion_margin(n_real):
-    trip = st.quaternion_triple(n_real // 4)
-
-    def margin(a):
-        return float(np.linalg.eigvalsh(st.quat_sym_part(a, trip))[0])
-
-    def batch(a):
-        out = a.copy()
-        for m in (trip.i, trip.j, trip.k):
-            out = out - np.einsum("ij,mjk,kl->mil", m, a, m)
-        return np.linalg.eigvalsh(0.25 * out)[..., 0]
-
-    return margin, batch
-
-
-def _lagrangian_margin(n_real):
+def _lagrangian(n):
     """Minimum of tr(A|_W)/k over lagrangian planes: the sum of the k
     smallest eigenvalues of the span part of A, divided by k."""
-    i_mat = st.complex_structure(n_real)
-    k = n_real // 2
+    i_mat = st.complex_structure(n)
+    k = n // 2
 
-    def span_part(a):
-        skew = 0.5 * (a + i_mat @ a @ i_mat)
-        tr = np.trace(a) / n_real
-        return skew + tr * np.eye(n_real)
+    def kernel(a):
+        tr = np.trace(a, axis1=-2, axis2=-1) / n
+        span = st.complex_skew_part(a, i_mat) + tr[:, None, None] * np.eye(n)
+        return np.linalg.eigvalsh(span)[:, :k].sum(axis=1) / k
 
-    def margin(a):
-        lam = np.linalg.eigvalsh(span_part(a))
-        return float(lam[:k].sum()) / k
-
-    def batch(a):
-        skew = 0.5 * (a + np.einsum("ij,mjk,kl->mil", i_mat, a, i_mat))
-        tr = np.trace(a, axis1=-2, axis2=-1) / n_real
-        sp = skew + tr[:, None, None] * np.eye(n_real)
-        lam = np.linalg.eigvalsh(sp)
-        return lam[:, :k].sum(axis=1) / k
-
-    return margin, batch
+    return kernel
 
 
-def _gl_ijk_margin(n_real):
+def _gl_ijk(n):
     """Minimum of tr(A|_W)/(2n) over I-complex, J/K-lagrangian planes:
     (tr A - nuclear norm of the I-aligned part) / N."""
-    trip = st.quaternion_triple(n_real // 4)
+    trip = st.quaternion_triple(n // 4)
 
-    def ei_part(a):
-        return st.e_structure_part(a, trip, "i")
+    def kernel(a):
+        lam = np.linalg.eigvalsh(st.e_structure_part(a, trip, "i"))
+        return (np.trace(a, axis1=-2, axis2=-1) - np.abs(lam).sum(axis=1)) / n
 
-    def margin(a):
-        lam = np.linalg.eigvalsh(ei_part(a))
-        return (float(np.trace(a)) - float(np.abs(lam).sum())) / n_real
-
-    def batch(a):
-        m = 0.25 * (
-            a
-            - np.einsum("ij,mjk,kl->mil", trip.i, a, trip.i)
-            + np.einsum("ij,mjk,kl->mil", trip.j, a, trip.j)
-            + np.einsum("ij,mjk,kl->mil", trip.k, a, trip.k)
-        )
-        lam = np.linalg.eigvalsh(m)
-        tr = np.trace(a, axis1=-2, axis2=-1)
-        return (tr - np.abs(lam).sum(axis=1)) / n_real
-
-    return margin, batch
+    return kernel
 
 
-def _fast_margins(spec: CatalogSpec, n_real: int):
-    if spec.name == "P":
-        return _psd_margin, _psd_margin_batch
-    if spec.name == "laplace":
-        return _trace_margin(n_real)
-    if spec.name == "P_C":
-        return _complex_margin(n_real)
-    if spec.name == "P_H":
-        return _quaternion_margin(n_real)
-    if spec.name == "P_LAG":
-        return _lagrangian_margin(n_real)
-    if spec.name == "GL_IJK":
-        return _gl_ijk_margin(n_real)
-    return None, None
+# keyed on the edge's component names; the empty edge is the PSD cone in
+# every group, and the traceless edge makes the margin linear, <A, Id/n>
+_TRACE_EDGE = frozenset({"sym0"})
+_CLOSED_FORMS = {
+    frozenset(): _psd,
+    _TRACE_EDGE: _trace,
+    frozenset({"c_skew"}): _hermitian,
+    frozenset({"c_sym0"}): _lagrangian,
+    frozenset({"h_skew3"}): _quaternionic,
+    frozenset({"h_sym0", "e_j", "e_k"}): _gl_ijk,
+}
 
 
 def group_for(spec: CatalogSpec, n_real: int) -> st.Group:
@@ -211,12 +160,12 @@ def build_cone(name: str, n: int | None = None, *, check: bool = False,
     n_real = n or spec.default_n
     group = group_for(spec, n_real)
     edge = edge_from_components(group, spec.components)
-    fast, fast_batch = _fast_margins(spec, n_real)
-    lin_w = np.eye(n_real) / n_real if spec.name == "laplace" else None
-    cone = EdgeCone(edge, check=check, name=spec.name,
-                    fast_margin=fast, fast_margin_batch=fast_batch,
+    key = frozenset(spec.components)
+    factory = _CLOSED_FORMS.get(key)
+    lin_w = np.eye(n_real) / n_real if key == _TRACE_EDGE else None
+    return EdgeCone(edge, check=check, name=spec.name,
+                    fast_margin=factory(n_real) if factory else None,
                     linear_margin_weight=lin_w)
-    return cone
 
 
 def find_spec(name: str, specs=None) -> CatalogSpec:

@@ -4,14 +4,19 @@ Three kinds of handle:
 
   * EdgeCone(E): the sum of a basic subspace E and the positive cone; its
     membership margin is max over translates e in E of lambda_min(A - e),
-    a concave maximization solved by smoothed first-order ascent.
+    a concave maximization solved by smoothed first-order ascent (the
+    same maximizer decides the basic-edge dichotomy).  A closed form, when
+    the catalog has one for E, is a batch kernel over a stack of
+    matrices; a single margin is the batch of one.
   * HalfspaceCone(N): {A : <A, N> >= 0} for a unit PSD normal.
   * GeometricCone(family): {A : tr(A|_W) >= 0 for all planes W}, probed by
     pre-sampled frames plus local frame descent.
 
 All margins agree in sign with exact membership and shift exactly by -s
 (or -s tr N for half-spaces) under A -> A - s Id, which downstream solvers
-rely on.  Handles are immutable; caches are write-once.
+rely on.  contains and dual_contains check their matrix as sym_matrix does
+(square, finite, symmetric) and against the cone's size.  Handles are
+immutable; caches are write-once.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .symspace import (
     residual_norm,
     subspace_coords,
     subspace_project,
+    sym_matrix,
     zero_subspace,
 )
 
@@ -165,6 +171,35 @@ def _softmin_eig(m: np.ndarray, mu: float):
     return f, grad
 
 
+def _max_lambda_min(m0: np.ndarray, gens: np.ndarray, starts, mu_ladder, maxiter: int):
+    """Maximize lambda_min(m0 + sum_k c_k gens_k) over coordinates c.
+
+    Concave in c, so each start only safeguards the ascent.  Every start
+    runs L-BFGS on the smoothed minimum eigenvalue down the ladder of
+    (already scaled) temperatures; the value reported is the exact
+    lambda_min at the best point found, a certified lower bound of the
+    maximum.  Returns (value, coords, stalled), stalled when some start
+    ended on non-finite coordinates.
+    """
+    neg_gens = -gens  # negated once, not in every gradient of -lambda_min
+
+    def objective(c, mu):
+        f, grad_mat = _softmin_eig(m0 + np.einsum("k,kij->ij", c, gens), mu)
+        return -f, np.einsum("kij,ij->k", neg_gens, grad_mat)
+
+    best_val, best_c, stalled = -np.inf, starts[0], False
+    for c0 in starts:
+        c = np.asarray(c0, dtype=float)
+        for mu in mu_ladder:
+            c = _lbfgs(lambda x: objective(x, mu), c, maxiter=maxiter)
+        val = float(np.linalg.eigvalsh(m0 + np.einsum("k,kij->ij", c, gens))[0])
+        if val > best_val:
+            best_val, best_c = val, c
+        if not np.all(np.isfinite(c)):
+            stalled = True
+    return best_val, best_c, stalled
+
+
 def edge_translate_margin(
     a: np.ndarray,
     edge: SymSubspace,
@@ -178,27 +213,15 @@ def edge_translate_margin(
 ):
     """Maximize lambda_min(a - e) over e in the edge subspace.
 
-    Concave in e, so the multi-start is a safeguard rather than a search.
     Starting points: the projection of `a` onto the edge, zero, a supplied
-    warm start, and seeded Gaussians.  Each start runs a ladder of
-    smoothing temperatures; the reported margin is the exact
-    lambda_min(a - e*) at the best translate found (a certified lower
-    bound of the maximum).
+    warm start, and seeded Gaussians; temperatures scale with 1 + |a|.
 
     Returns (margin, translate, coords, stalled).
     """
     if edge.dim == 0:
         lam0 = float(np.linalg.eigvalsh(a)[0])
         return lam0, np.zeros_like(a), np.zeros(0), False
-    basis = edge.basis
     scale = 1.0 + frob_norm(a)
-
-    def objective(c, mu):
-        e = np.einsum("k,kij->ij", c, basis)
-        f, grad_mat = _softmin_eig(a - e, mu)
-        g = np.einsum("kij,ij->k", basis, grad_mat)
-        return -f, g
-
     if warm_only and warm_coords is not None:
         starts = [np.asarray(warm_coords, dtype=float)]
     else:
@@ -208,23 +231,9 @@ def edge_translate_margin(
         rng = as_rng(seed)
         for _ in range(extra_starts):
             starts.append(rng.normal(size=edge.dim) * scale)
-
-    best_val = -np.inf
-    best_c = starts[0]
-    stalled = False
-    for c0 in starts:
-        c = np.asarray(c0, dtype=float)
-        for mu in mu_ladder:
-            mu_s = mu * scale
-            c = _lbfgs(lambda x: objective(x, mu_s), c, maxiter=max_stage_iter)
-        e = np.einsum("k,kij->ij", c, basis)
-        val = float(np.linalg.eigvalsh(a - e)[0])
-        if val > best_val:
-            best_val, best_c = val, c
-        if not np.all(np.isfinite(c)):
-            stalled = True
-    translate = np.einsum("k,kij->ij", best_c, basis)
-    return best_val, translate, best_c, stalled
+    val, coords, stalled = _max_lambda_min(
+        a, -edge.basis, starts, [mu * scale for mu in mu_ladder], max_stage_iter)
+    return val, from_coords(edge, coords), coords, stalled
 
 
 def _slice_max_lambda_min(space: SymSubspace, *, starts: int = 20, seed: int = 0):
@@ -236,39 +245,23 @@ def _slice_max_lambda_min(space: SymSubspace, *, starts: int = 20, seed: int = 0
     functional vanishes on the subspace (no PSD ray possible).
     """
     n = space.ambient_n
-    if space.dim == 0:
-        return None, None
     trace_coords = subspace_coords(space, np.eye(n))
     tnorm = float(np.linalg.norm(trace_coords))
     if tnorm < 1e-12:
         return None, None
-    # affine parametrization of the trace slice
-    c_base = trace_coords * (n / tnorm**2)
+    # affine parametrization of the trace slice: base point plus the
+    # basis mapped through the projector off the trace direction
+    m0 = from_coords(space, trace_coords * (n / tnorm**2))
     unit = trace_coords / tnorm
     tangent = np.eye(space.dim) - np.outer(unit, unit)
-
-    def objective(y, mu):
-        c = c_base + tangent @ y
-        m = from_coords(space, c)
-        f, grad_mat = _softmin_eig(m, mu)
-        g = np.einsum("kij,ij->k", space.basis, grad_mat)
-        return -f, -(tangent @ g)
-
+    gens = np.einsum("kj,kab->jab", tangent, space.basis)
     rng = as_rng(seed)
-    best_val, best_c = -np.inf, None
     y_starts = [np.zeros(space.dim)]
     for _ in range(starts - 1):
         y_starts.append(rng.normal(size=space.dim))
-    for y0 in y_starts:
-        y = y0
-        for mu in (1e-1, 1e-3, 1e-5, 1e-8):
-            mu_s = mu * n
-            y = _lbfgs(lambda x: objective(x, mu_s), y, maxiter=80)
-        c = c_base + tangent @ y
-        val = float(np.linalg.eigvalsh(from_coords(space, c))[0])
-        if val > best_val:
-            best_val, best_c = val, c
-    return best_val, from_coords(space, best_c)
+    val, y, _ = _max_lambda_min(m0, gens, y_starts,
+                                [mu * n for mu in (1e-1, 1e-3, 1e-5, 1e-8)], 80)
+    return val, m0 + np.einsum("k,kij->ij", y, gens)
 
 
 @dataclass(frozen=True)
@@ -315,9 +308,15 @@ class ConeHandle:
     """Common surface of the three cone variants."""
 
     n: int
+    # weight W with margin(A) = <A, W>, when the margin is linear
+    linear_margin_weight: np.ndarray | None = None
 
     # --- margins -------------------------------------------------------
     def margin(self, a: np.ndarray) -> float:
+        return self._margin_with_witness(a)[0]
+
+    def _margin_with_witness(self, a):
+        """(margin, witness or None, stalled) for one matrix."""
         raise NotImplementedError
 
     def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
@@ -329,20 +328,29 @@ class ConeHandle:
         return 1.0
 
     # --- membership ----------------------------------------------------
-    def contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
+    def _checked(self, a, op: str) -> np.ndarray:
+        """The symmetric matrix `a` after sym_matrix's checks (square,
+        finite, symmetric) and the cone's size check."""
+        try:
+            a = sym_matrix(a)
+        except ValueError as exc:
+            raise ValueError(f"{op}: matrix a rejected: {exc}") from None
         if a.shape[0] != self.n:
-            raise ValueError(f"matrix is {a.shape[0]}x, cone ambient {self.n}")
+            raise ValueError(f"{op}: matrix a is {a.shape[0]}x{a.shape[0]}, "
+                             f"cone ambient {self.n}")
+        return a
+
+    def contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
+        a = self._checked(a, "contains")
         if tol is None:
             tol = default_tol(a)
         m, witness, stalled = self._margin_with_witness(a)
         return _classify(m, tol, witness, stalled)
 
-    def _margin_with_witness(self, a):
-        return self.margin(a), None, False
-
     def dual_contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
         """Membership in the dual cone: A is dual-inside iff -A is not
         interior; the dual margin is minus the margin of -A."""
+        a = self._checked(a, "dual_contains")
         if tol is None:
             tol = default_tol(a)
         m, witness, stalled = self._margin_with_witness(-a)
@@ -366,7 +374,6 @@ class EdgeCone(ConeHandle):
 
     def __init__(self, edge: SymSubspace, *, check: bool = True,
                  fast_margin: Callable | None = None,
-                 fast_margin_batch: Callable | None = None,
                  linear_margin_weight: np.ndarray | None = None,
                  name: str | None = None, seed: int = 0):
         edge.validate()
@@ -380,24 +387,17 @@ class EdgeCone(ConeHandle):
         self.n = edge.ambient_n
         self.edge = edge
         self.name = name
+        # closed form as a stack kernel (m, n, n) -> (m,), when there is one
         self._fast_margin = fast_margin
-        self._fast_margin_batch = fast_margin_batch
-        # weight W with margin(A) = <A, W>, when the margin happens linear
         self.linear_margin_weight = linear_margin_weight
         self._span = None
 
     def edge_of(self) -> SymSubspace:
         return self.edge
 
-    def margin(self, a: np.ndarray) -> float:
-        if self._fast_margin is not None:
-            return float(self._fast_margin(a))
-        m, _, _, _ = edge_translate_margin(a, self.edge)
-        return m
-
     def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        if self._fast_margin_batch is not None:
-            return np.asarray(self._fast_margin_batch(a_stack), dtype=float)
+        if self._fast_margin is not None:
+            return self._fast_margin(a_stack)
         return super().margin_batch(a_stack)
 
     def optimizer_margin(self, a: np.ndarray, warm_coords=None, quick: bool = False):
@@ -422,8 +422,8 @@ class EdgeCone(ConeHandle):
         return m, e, a - e, stalled
 
     def _margin_with_witness(self, a):
-        if self._fast_margin is not None:
-            return float(self._fast_margin(a)), None, False
+        if self._fast_margin is not None:  # a single margin is the batch of one
+            return float(self._fast_margin(a[None])[0]), None, False
         m, e, _, stalled = edge_translate_margin(a, self.edge)
         return m, e, stalled
 
@@ -442,6 +442,7 @@ class HalfspaceCone(ConeHandle):
             raise ValueError("half-space normal must be positive semidefinite")
         self.n = normal.shape[0]
         self.normal = normal
+        self.linear_margin_weight = normal
         self.name = name
         self._edge = None
         self._span = None
@@ -507,16 +508,12 @@ class GeometricCone(ConeHandle):
         return self._projectors
 
     # margins -------------------------------------------------------------
-    def margin(self, a: np.ndarray) -> float:
-        m, _, _ = self._margin_frame(a)
-        return m
-
     def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         k = self.family.plane_dim
         vals = np.einsum("fij,mji->mf", self.projectors(), a_stack) / k
         return vals.min(axis=1)
 
-    def _margin_frame(self, a: np.ndarray):
+    def _margin_with_witness(self, a: np.ndarray):
         k = self.family.plane_dim
         vals = np.einsum("fij,ji->f", self.projectors(), a) / k
         order = np.argsort(vals)
@@ -535,10 +532,6 @@ class GeometricCone(ConeHandle):
                 if no_gain >= 5:  # plateau: further polish runs add nothing
                     break
         return best_val, best_frame, False
-
-    def _margin_with_witness(self, a):
-        m, fr, stalled = self._margin_frame(a)
-        return m, fr, stalled
 
     # linear structure ----------------------------------------------------
     def edge_of(self) -> SymSubspace:
@@ -577,34 +570,23 @@ def _algebra_projector(family: st.PlaneFamily):
     """Projection of a skew matrix onto the Lie algebra of the group that
     acts transitively on the family (geodesic moves stay inside it)."""
     tag = family.tag
-    n = family.ambient
     if tag == "grass":
         return lambda x: x
-    if tag in ("cp", "lag"):
-        i_mat = st.complex_structure(n)
-        return lambda x: 0.5 * (x - i_mat @ x @ i_mat)
-    trip = st.quaternion_triple(n // 4)
-    structs = {"i": trip.i, "j": trip.j, "k": trip.k}
-    if tag in ("hlag", "gl_ijk"):
-        def proj(x):
-            out = x.copy()
-            for m in structs.values():
-                out = out - m @ x @ m
-            return 0.25 * out
-        return proj
-    if tag == "hp":
-        def proj(x):
-            out = x.copy()
-            for m in structs.values():
-                out = out - m @ x @ m
-            out = 0.25 * out
-            for m in structs.values():
-                out = out + (np.einsum("ij,ji->", x, m) / np.einsum("ij,ji->", m, m)) * m
-            return out
-        return proj
-    struct = {"ilag": trip.i, "jlag": trip.j, "klag": trip.k,
-              "cp_j": trip.j, "cp_k": trip.k}[tag]
-    return lambda x: 0.5 * (x - struct @ x @ struct)
+    if tag not in ("hp", "hlag", "gl_ijk"):
+        struct = st.family_structure_matrix(family)
+        return lambda x: st.complex_sym_part(x, struct)
+    trip = st.quaternion_triple(family.ambient // 4)
+    if tag != "hp":
+        return lambda x: st.quat_sym_part(x, trip)
+
+    def proj(x):
+        # sp(n) + sp(1): the commuting part plus the span of I, J, K
+        out = st.quat_sym_part(x, trip)
+        for m in (trip.i, trip.j, trip.k):
+            out = out + (np.einsum("ij,ji->", x, m) / np.einsum("ij,ji->", m, m)) * m
+        return out
+
+    return proj
 
 
 def _skew_exp(omega: np.ndarray) -> np.ndarray:
@@ -653,41 +635,10 @@ def _descend_frame(family: st.PlaneFamily, frame: np.ndarray, a: np.ndarray,
     return val, fr
 
 
-# ----------------------------------------------------------------------
-# module-level operation mirrors
-# ----------------------------------------------------------------------
-
-def contains(cone: ConeHandle, a: np.ndarray, tol: float | None = None) -> Membership:
-    return cone.contains(a, tol)
-
-
-def dual_contains(cone: ConeHandle, a: np.ndarray, tol: float | None = None) -> Membership:
-    return cone.dual_contains(a, tol)
-
-
-def edge_of(cone: ConeHandle) -> SymSubspace:
-    return cone.edge_of()
-
-
-def span_of(cone: ConeHandle) -> SymSubspace:
-    return cone.span_of()
-
-
-def reduced_hessian(cone: ConeHandle, a: np.ndarray) -> np.ndarray:
-    return cone.reduced_hessian(a)
-
-
 def minimal_cone(edge: SymSubspace, *, name: str | None = None,
-                 fast_margin=None, fast_margin_batch=None, seed: int = 0) -> EdgeCone:
+                 seed: int = 0) -> EdgeCone:
     """Build the smallest cone with the given edge; refuses non-basic input."""
-    rep = is_basic_edge(edge, seed=seed)
-    if not rep.basic:
-        raise ValueError(
-            f"edge is not basic (PSD witness with eigenvalue floor "
-            f"{rep.edge_side_max:.3e})"
-        )
-    return EdgeCone(edge, check=False, name=name,
-                    fast_margin=fast_margin, fast_margin_batch=fast_margin_batch)
+    return EdgeCone(edge, check=True, name=name, seed=seed)
 
 
 # ----------------------------------------------------------------------

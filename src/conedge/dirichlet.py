@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .cones import ConeHandle, EdgeCone, HalfspaceCone
+from .cones import ConeHandle, EdgeCone
 from .symspace import SymSubspace, as_rng
 
 THETA_FLOOR = 0.05
@@ -314,42 +314,39 @@ def _hessian_batch(stencil: _Stencil, flat_vals: np.ndarray, rows: np.ndarray) -
     return out
 
 
-def discrete_hessian(u: GridField, index) -> np.ndarray:
-    """Central second differences at one interior node; exact on quadratics."""
+def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
+    """Central first and second differences (gradient, Hessian) at one
+    interior node; both exact on quadratics."""
     dom = u.domain
     idx = tuple(int(i) for i in np.atleast_1d(index))
     if not dom.interior[idx]:
         raise ValueError(f"node {idx} is not interior")
     n = dom.n
     h2 = dom.h * dom.h
-    v = u.values
-    out = np.zeros((n, n))
+    unit = np.eye(n, dtype=int)
+
+    def at(offset):
+        return u.values[tuple(np.add(idx, offset))]
+
+    grad = np.array([(at(e) - at(-e)) / (2 * dom.h) for e in unit])
+    hess = np.zeros((n, n))
     for i in range(n):
-        up = list(idx); up[i] += 1
-        dn = list(idx); dn[i] -= 1
-        out[i, i] = (v[tuple(up)] + v[tuple(dn)] - 2 * v[idx]) / h2
-    for i in range(n):
+        hess[i, i] = (at(unit[i]) + at(-unit[i]) - 2 * at(0)) / h2
         for j in range(i + 1, n):
-            pp = list(idx); pp[i] += 1; pp[j] += 1
-            mm = list(idx); mm[i] -= 1; mm[j] -= 1
-            pm = list(idx); pm[i] += 1; pm[j] -= 1
-            mp = list(idx); mp[i] -= 1; mp[j] += 1
-            val = (v[tuple(pp)] + v[tuple(mm)] - v[tuple(pm)] - v[tuple(mp)]) / (4 * h2)
-            out[i, j] = out[j, i] = val
-    return out
+            ei, ej = unit[i], unit[j]
+            hess[i, j] = hess[j, i] = (at(ei + ej) + at(-ei - ej)
+                                       - at(ei - ej) - at(ej - ei)) / (4 * h2)
+    return grad, hess
+
+
+def discrete_hessian(u: GridField, index) -> np.ndarray:
+    """Central second differences at one interior node; exact on quadratics."""
+    return central_differences(u, index)[1]
 
 
 # ----------------------------------------------------------------------
 # per-node threshold
 # ----------------------------------------------------------------------
-
-def _linear_weight(cone: ConeHandle):
-    """Weight matrix W with margin(A) = <A, W>, when the margin is linear."""
-    if isinstance(cone, HalfspaceCone):
-        return cone.normal
-    w = getattr(cone, "linear_margin_weight", None)
-    return w
-
 
 def node_threshold_bisect(cone: ConeHandle, stencil: _Stencil, flat_vals: np.ndarray,
                           row: int, tol: float, warm_cache=None) -> float:
@@ -495,7 +492,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
 
     h2 = dom.h * dom.h
     m = stencil.flat_interior.size
-    lin_w = _linear_weight(cone)
+    lin_w = cone.linear_margin_weight
     warm_cache: dict = {}
     history = []
     converged = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import EdgeCone
-from .dirichlet import GridField, discrete_hessian
+from .dirichlet import GridField, central_differences
 from .symspace import SymSubspace, as_rng, frob_norm, from_coords, subspace_project
 
 EDGE_RESID_RTOL = 1e-9
@@ -121,16 +121,6 @@ class ViolationWitness:
         return self.ring_excess <= slack and self.center_excess > 0.5 * self.margin
 
 
-def _central_gradient(u: GridField, idx) -> np.ndarray:
-    dom = u.domain
-    g = np.zeros(dom.n)
-    for i in range(dom.n):
-        up = list(idx); up[i] += 1
-        dn = list(idx); dn[i] -= 1
-        g[i] = (u.values[tuple(up)] - u.values[tuple(dn)]) / (2 * dom.h)
-    return g
-
-
 def violation_witness(u: GridField, cone: EdgeCone, index, *,
                       ring_spacings: int = 3) -> ViolationWitness | None:
     """Quadratic witness that u is not dually subharmonic at a node.
@@ -145,7 +135,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index, *,
     """
     dom = u.domain
     idx = tuple(int(i) for i in np.atleast_1d(index))
-    a = discrete_hessian(u, idx)
+    grad, a = central_differences(u, idx)
     tol = 1e-7 * (1.0 + frob_norm(a))
     margin, e_translate, p_part, stalled = cone.decompose(-a)
     if margin <= tol:
@@ -155,7 +145,6 @@ def violation_witness(u: GridField, cone: EdgeCone, index, *,
 
     x0 = dom.origin + np.array(idx) * dom.h
     u0 = float(u.values[idx])
-    grad = _central_gradient(u, idx)
     curv = -e_translate
     # absolute-coordinate coefficients with h(x0) = u0, Dh(x0) = grad
     b = grad - curv @ x0

@@ -317,7 +317,7 @@ class PlaneFamily:
         }[self.tag]
 
 
-def _family_structure_matrix(family: PlaneFamily) -> np.ndarray:
+def family_structure_matrix(family: PlaneFamily) -> np.ndarray:
     """The single structure matrix a line/lagrangian family refers to."""
     n = family.ambient
     if family.tag in ("cp", "lag"):
@@ -368,11 +368,6 @@ def _structured_frame(seeds: np.ndarray, mats: list[np.ndarray], max_tries: int 
     return np.array(seeds_out)
 
 
-def structured_frame(seeds: np.ndarray, mats, rng=None) -> np.ndarray:
-    """Public alias of the seed orthonormalization used by the samplers."""
-    return _structured_frame(np.array(seeds, dtype=float), list(mats), rng=rng)
-
-
 def family_spec(family: PlaneFamily):
     """Seed parametrization of a family: (seed_count, gs_mats, row_mats).
 
@@ -385,10 +380,10 @@ def family_spec(family: PlaneFamily):
     if tag == "grass":
         return family.p, [], []
     if tag in ("cp", "cp_j", "cp_k"):
-        s = _family_structure_matrix(family)
+        s = family_structure_matrix(family)
         return 1, [s], [s]
     if tag in ("lag", "ilag", "jlag", "klag"):
-        s = _family_structure_matrix(family)
+        s = family_structure_matrix(family)
         return n // 2, [s], []
     trip = quaternion_triple(n // 4)
     structs = [trip.i, trip.j, trip.k]
@@ -413,13 +408,6 @@ def frame_from_seeds(family: PlaneFamily, seeds: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def frame_seeds(family: PlaneFamily, frame: np.ndarray) -> np.ndarray:
-    """Recover the seed rows of a frame built by frame_from_seeds."""
-    _, _, row_mats = family_spec(family)
-    stride = 1 + len(row_mats)
-    return np.asarray(frame)[::stride]
-
-
 def sample_plane(family: PlaneFamily, seed) -> np.ndarray:
     """Draw one frame (rows are orthonormal vectors spanning the plane)."""
     rng = as_rng(seed)
@@ -436,11 +424,11 @@ def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:
     if tag == "grass":
         return float(res)
     if tag in ("cp", "cp_j", "cp_k"):
-        i_mat = _family_structure_matrix(family)
+        i_mat = family_structure_matrix(family)
         p = f.T @ f
         return float(max(res, np.abs(p @ i_mat - i_mat @ p).max()))
     if tag in ("lag", "ilag", "jlag", "klag"):
-        i_mat = _family_structure_matrix(family)
+        i_mat = family_structure_matrix(family)
         return float(max(res, np.abs(f @ i_mat @ f.T).max()))
     trip = quaternion_triple(family.ambient // 4)
     if tag in ("hp", "hlag"):

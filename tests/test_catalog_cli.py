@@ -5,6 +5,7 @@ import pytest
 
 from conedge import catalog as cat
 from conedge import cli
+from conedge import dirichlet as dh
 from conedge import symspace as ss
 
 
@@ -52,6 +53,46 @@ class TestCatalog:
     def test_build_check_mode(self):
         cone = cat.build_cone("P_C", 4, check=True)
         assert cone.edge.dim == 6
+
+
+class TestClosedFormDispatch:
+    """A closed form follows the cone's edge, not the entry's name."""
+
+    TEXT = """
+[my_pc]
+group = un
+n = 4
+edge = c_skew
+
+[trace2]
+group = on
+n = 2
+edge = sym0
+
+[gl_permuted]
+group = spn_s1
+n = 8
+edge = e_k,h_sym0,e_j
+"""
+
+    @pytest.mark.parametrize("name, reference, n", [
+        ("my_pc", "P_C", 4), ("gl_permuted", "GL_IJK", 8)])
+    def test_edge_picks_closed_form(self, name, reference, n, rng):
+        cone = cat.build_cone(name, specs=cat.parse_catalog(self.TEXT))
+        ref = cat.build_cone(reference, n)
+        assert cone._fast_margin is not None
+        stack = np.array([ss.random_symmetric(n, rng) for _ in range(20)])
+        assert np.abs(cone.margin_batch(stack) - ref.margin_batch(stack)).max() <= 1e-12
+        for a in stack:
+            assert abs(cone.margin(a) - ref.margin(a)) <= 1e-12
+
+    def test_trace_edge_is_linear(self):
+        cone = cat.build_cone("trace2", specs=cat.parse_catalog(self.TEXT))
+        assert np.array_equal(cone.linear_margin_weight, np.eye(2) / 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 8)
+        _, info = dh.perron_solve(cone, dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+                                  ordering="redblack", tol=1e-10)
+        assert info.converged and info.omega > 1.0
 
 
 def run_cli(args):

@@ -82,6 +82,40 @@ class TestEdgeConeMembership:
             cn.HalfspaceCone(np.diag([1.0, -1.0]))
 
 
+class TestOracleInputChecks:
+    """contains and dual_contains reject bad matrices where they enter,
+    with a ValueError that names the argument."""
+
+    CONES = {
+        "closed_form": lambda: cat.build_cone("P_C", 4),
+        "optimizer": lambda: cat.build_cone("P_EI", 4),
+        "halfspace": lambda: cn.HalfspaceCone(np.eye(4)),
+    }
+
+    @pytest.fixture(params=sorted(CONES))
+    def cone(self, request):
+        return self.CONES[request.param]()
+
+    @pytest.mark.parametrize("op", ["contains", "dual_contains"])
+    def test_wrong_size(self, cone, op):
+        with pytest.raises(ValueError, match=rf"^{op}: matrix a is 3x3, cone ambient 4"):
+            getattr(cone, op)(np.eye(3))
+
+    @pytest.mark.parametrize("op", ["contains", "dual_contains"])
+    def test_nan_entry(self, cone, op):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match=rf"^{op}: matrix a rejected: .*finite"):
+            getattr(cone, op)(a)
+
+    @pytest.mark.parametrize("op", ["contains", "dual_contains"])
+    def test_asymmetric(self, cone, op):
+        a = np.eye(4)
+        a[0, 1] = 0.5
+        with pytest.raises(ValueError, match=rf"^{op}: matrix a rejected: .*not symmetric"):
+            getattr(cone, op)(a)
+
+
 class TestOptimizerAgainstClosedForms:
     @pytest.mark.parametrize("name,n", [("P_C", 4), ("P_LAG", 4), ("P_H", 4),
                                         ("GL_IJK", 8), ("laplace", 3)])

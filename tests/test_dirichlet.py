@@ -71,6 +71,20 @@ class TestDiscreteHessian:
         with pytest.raises(ValueError):
             dh.discrete_hessian(u, (0, 3))
 
+    def test_central_differences_exact_on_quadratics(self, rng):
+        dom = dh.GridDomain.box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 0.25)
+        b, g = ss.random_symmetric(3, rng), rng.normal(size=3)
+        u = dh.GridField(dom, exact_field(
+            dom, lambda p: p @ g + 0.5 * np.einsum("pi,ij,pj->p", p, b, p)))
+        idx = (3, 5, 4)
+        x0 = dom.origin + np.array(idx) * dom.h
+        grad, hess = dh.central_differences(u, idx)
+        assert np.abs(grad - (g + b @ x0)).max() <= 1e-12
+        assert np.abs(hess - b).max() <= 1e-12
+        assert np.array_equal(hess, dh.discrete_hessian(u, idx))
+        with pytest.raises(ValueError):
+            dh.central_differences(u, (0, 3, 3))
+
 
 class TestPerronSolve:
     def test_1d_linear(self):
