@@ -29,7 +29,8 @@ def main():
         exact = harm(dom.coords().reshape(-1, 2)).reshape(dom.shape)
         err = np.abs(u.values - exact)[dom.interior].max()
         print(f"  h=1/{int(1/h):<3} error {err:.3e}  sweeps {info.sweeps:<6}"
-              f" omega {info.omega:.4f} ({time.time()-t0:.1f}s)")
+              f" residual {info.max_residual:.1e} omega {info.omega:.4f}"
+              f" ({time.time()-t0:.1f}s)")
 
     print("box, positivity cone, affine data (exact fixed point):")
     cone = cat.build_cone("P", 2)

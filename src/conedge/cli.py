@@ -301,7 +301,7 @@ def cmd_solve(args) -> int:
     for sweep, upd in info.history[:: max(1, len(info.history) // 12)]:
         print(f"sweep {sweep:>6}  max update {upd:.3e}")
     print(f"converged: {info.converged} after {info.sweeps} sweeps"
-          f" (omega {info.omega:.4f})")
+          f" (omega {info.omega:.4f}, max residual {info.max_residual:.3e})")
     if extension is not None:
         _, const, lin, curv = extension
         if abs(cone.margin(curv)) <= 100 * cn.default_tol(curv):

@@ -14,9 +14,9 @@ Three kinds of handle:
 
 All margins agree in sign with exact membership and shift exactly by -s
 (or -s tr N for half-spaces) under A -> A - s Id, which downstream solvers
-rely on.  contains and dual_contains check their matrix as sym_matrix does
-(square, finite, symmetric) and against the cone's size.  Handles are
-immutable; caches are write-once.
+rely on.  margin, contains and dual_contains check their matrix as
+sym_matrix does (square, finite, symmetric) and against the cone's size.
+Handles are immutable; caches are write-once.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ class ConeHandle:
 
     # --- margins -------------------------------------------------------
     def margin(self, a: np.ndarray) -> float:
-        return self._margin_with_witness(a)[0]
+        return self._margin_with_witness(self._checked(a, "margin"))[0]
 
     def _margin_with_witness(self, a):
         """(margin, witness or None, stalled) for one matrix."""
@@ -447,9 +447,6 @@ class HalfspaceCone(ConeHandle):
         self._edge = None
         self._span = None
 
-    def margin(self, a: np.ndarray) -> float:
-        return float(np.einsum("ij,ji->", a, self.normal))
-
     def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         return np.einsum("mij,ji->m", a_stack, self.normal)
 
@@ -464,7 +461,7 @@ class HalfspaceCone(ConeHandle):
         return self._edge
 
     def _margin_with_witness(self, a):
-        return self.margin(a), self.normal, False
+        return float(np.einsum("ij,ji->", a, self.normal)), self.normal, False
 
 
 class GeometricCone(ConeHandle):
@@ -487,6 +484,7 @@ class GeometricCone(ConeHandle):
         self.descent_steps = descent_steps
         self.seed = seed
         self.name = name
+        self._algebra = _algebra_projector(family)
         self._frames = None
         self._projectors = None
         self._edge = None
@@ -521,9 +519,8 @@ class GeometricCone(ConeHandle):
         best_frame = self.frames()[order[0]]
         no_gain = 0
         for idx in order[: max(1, self.descents)]:
-            val, fr = _descend_frame(
-                self.family, self.frames()[idx], a, steps=self.descent_steps
-            )
+            val, fr = _descend_frame(self._algebra, k, self.frames()[idx], a,
+                                     steps=self.descent_steps)
             if val < best_val - 1e-12:
                 best_val, best_frame = val, fr
                 no_gain = 0
@@ -596,16 +593,15 @@ def _skew_exp(omega: np.ndarray) -> np.ndarray:
     return np.real((vec * phase) @ vec.conj().T)
 
 
-def _descend_frame(family: st.PlaneFamily, frame: np.ndarray, a: np.ndarray,
+def _descend_frame(proj: Callable, k: int, frame: np.ndarray, a: np.ndarray,
                    steps: int = 60):
-    """Geodesic descent of tr(A|_W)/k along the family's transitive group.
+    """Geodesic descent of tr(A|_W)/k along the transitive group of a plane
+    family of dimension k, whose Lie algebra projector is proj.
 
     The derivative of <A, g P g'> along exp(t Omega) is <Omega, [P, A]>, so
     the Riemannian gradient is the algebra projection of the commutator;
     Armijo backtracking keeps every accepted move a strict decrease.
     """
-    k = family.plane_dim
-    proj = _algebra_projector(family)
     fr = np.asarray(frame, dtype=float)
     p = fr.T @ fr
     val = float(np.einsum("ij,ji->", a, p)) / k

@@ -1,12 +1,14 @@
 """Grid Dirichlet solver for minimal cones and edge-quadratic envelopes.
 
-The solver runs Gauss-Seidel sweeps; at each interior node the discrete
-Hessian is affine and Loewner-decreasing in the center value, so a unique
-threshold puts it on the cone boundary.  For every margin functional in
-this package the dependence on an identity shift is exactly affine, which
-solves the threshold in closed form on box grids (and for trace-type
-margins on balls); the safeguarded bracket-and-bisect route is kept both
-as the general fallback and as a cross-check.
+The solver runs Gauss-Seidel sweeps with one node update.  Moving an
+interior node's center value by s changes its discrete Hessian to exactly
+H - s diag(d) / h^2, where d_i = 2 on a box and grows at cut-cell sides
+(the node pencil); every margin functional in this package is Loewner
+monotone and shifts exactly by -s * slope under A -> A - s Id.  So a
+linear margin <A, W> is solved in closed form, a row with constant d has
+the closed-form root h^2 m / (d slope), and any other row bisects inside
+the bracket [h^2 m / (slope max d), h^2 m / (slope min d)], vectorized
+over the rows of a half-sweep.
 
 Margins of the form <A, W> with diagonal W make the node update plain
 Gauss-Seidel on a 2-cyclic, consistently ordered linear system (both
@@ -19,18 +21,19 @@ k_i interior nodes along axis i; on a ball the same formula over the
 interior's bounding extents bounds rho from above (cut-cell ghosts only
 add to the diagonal), which errs towards omega >= omega_opt, where SOR
 still converges at rate omega - 1.  Nonlinear margins, W with
-off-diagonal entries and the bisection route keep omega = 1.
+off-diagonal entries and the bisection reference keep omega = 1.
 
 Ball domains use cut cells: the boundary value is imposed at the first
 exterior node along each axis through a linear interpolation weight, so
-the axis ghost value is tied to the center unknown.  Exterior nodes that
+the axis ghost value is tied to the center unknown; each node update
+reads its own axis ghosts as that extrapolation.  Exterior nodes that
 appear as diagonal stencil corners are extrapolated the same way along
 the diagonal segment, but lagged within a sweep (their owner is the
 center node itself, and folding them into the update would break the
 monotone dependence on the center value).  All extrapolations are exact
 on affine functions; for curved data the off-diagonal entries near a
-curved boundary are first-order accurate, so eigen-type margins on balls
-are solved by bracketed bisection and carry O(h) boundary error.
+curved boundary are first-order accurate, so margins that read them
+carry O(h) boundary error on balls.
 """
 
 from __future__ import annotations
@@ -182,6 +185,7 @@ class _Stencil:
     corner_pm: np.ndarray
     corner_mp: np.ndarray
     red_mask: np.ndarray               # (M,) parity coloring of interior nodes
+    pencil_d: np.ndarray               # (M, n) center coefficient 1/theta+ + 1/theta-
     # flattened ghost tables, filled by the builder
     g_rows: np.ndarray = None
     g_flat: np.ndarray = None
@@ -283,7 +287,8 @@ def _build_stencil(dom: GridDomain, phi) -> _Stencil:
     stencil = _Stencil(dom, flat_interior, axis_plus, axis_minus,
                        ghost_plus, ghost_minus, theta_plus, theta_minus,
                        phi_plus, phi_minus, pairs,
-                       corner_pp, corner_mm, corner_pm, corner_mp, red_mask)
+                       corner_pp, corner_mm, corner_pm, corner_mp, red_mask,
+                       1.0 / theta_plus + 1.0 / theta_minus)
     stencil.g_rows, stencil.g_flat = g_rows, g_flat
     stencil.g_theta, stencil.g_phi = g_theta, g_phi
     stencil.g_unique, stencil.g_inverse, stencil.g_counts = np.unique(
@@ -291,27 +296,40 @@ def _build_stencil(dom: GridDomain, phi) -> _Stencil:
     return stencil
 
 
-def _hessian_batch(stencil: _Stencil, flat_vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Discrete Hessians at the selected interior rows (ghosts already in
-    the value array)."""
+def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete Hessians H at the selected interior rows and the pencil
+    diagonal d: moving a row's center value by s gives exactly
+    H - s diag(d) / h^2.
+
+    Each axis ghost enters as the row's own extrapolation
+    t + (phi - t) / theta through the sphere crossing, which makes
+    d_i = 1/theta+_i + 1/theta-_i (2 on a box); nothing is written to the
+    array.  Corners read the array, lagged within a sweep."""
     dom = stencil.dom
-    n = dom.n
     h2 = dom.h * dom.h
-    center = flat_vals[stencil.flat_interior[rows]]
-    up = flat_vals[stencil.axis_plus[rows]]
-    dn = flat_vals[stencil.axis_minus[rows]]
-    out = np.zeros((rows.size, n, n))
+
+    def at(table):                # take gathers rows faster than indexing
+        return table.take(rows, axis=0)
+
+    center = flat_vals[at(stencil.flat_interior)]
+    up = flat_vals[at(stencil.axis_plus)]
+    dn = flat_vals[at(stencil.axis_minus)]
+    for vals, ghost, theta, phi in (
+            (up, stencil.ghost_plus, stencil.theta_plus, stencil.phi_plus),
+            (dn, stencil.ghost_minus, stencil.theta_minus, stencil.phi_minus)):
+        r, c = at(ghost).nonzero()
+        if r.size:
+            vals[r, c] = center[r] + (phi[rows[r], c] - center[r]) / theta[rows[r], c]
     diag = (up + dn - 2.0 * center[:, None]) / h2
-    for i in range(n):
+    cross = (flat_vals[at(stencil.corner_pp)] + flat_vals[at(stencil.corner_mm)]
+             - flat_vals[at(stencil.corner_pm)] - flat_vals[at(stencil.corner_mp)]) / (4.0 * h2)
+    out = np.zeros((rows.size, dom.n, dom.n))
+    for i in range(dom.n):
         out[:, i, i] = diag[:, i]
     for idx, (i, j) in enumerate(stencil.pairs):
-        cr = (flat_vals[stencil.corner_pp[rows, idx]]
-              + flat_vals[stencil.corner_mm[rows, idx]]
-              - flat_vals[stencil.corner_pm[rows, idx]]
-              - flat_vals[stencil.corner_mp[rows, idx]]) / (4.0 * h2)
-        out[:, i, j] = cr
-        out[:, j, i] = cr
-    return out
+        out[:, i, j] = out[:, j, i] = cross[:, idx]
+    return out, at(stencil.pencil_d)
 
 
 def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
@@ -344,75 +362,9 @@ def discrete_hessian(u: GridField, index) -> np.ndarray:
     return central_differences(u, index)[1]
 
 
-# ----------------------------------------------------------------------
-# per-node threshold
-# ----------------------------------------------------------------------
-
-def node_threshold_bisect(cone: ConeHandle, stencil: _Stencil, flat_vals: np.ndarray,
-                          row: int, tol: float, warm_cache=None) -> float:
-    """Bracket the boundary-crossing center value and bisect the margin.
-
-    The bracket starts two neighbor-oscillations wide around the current
-    value and doubles up to 40 times; failure to bracket signals an
-    unbounded direction, which basic-edge cones exclude.
-    """
-    dom = stencil.dom
-    h2 = dom.h * dom.h
-    flat = stencil.flat_interior[row]
-    rows = np.array([row])
-
-    def margin_at(t):
-        old = flat_vals[flat]
-        flat_vals[flat] = t
-        _refresh_axis_ghosts_single(stencil, flat_vals, row)
-        a = _hessian_batch(stencil, flat_vals, rows)[0]
-        flat_vals[flat] = old
-        _refresh_axis_ghosts_single(stencil, flat_vals, row)
-        if warm_cache is not None and isinstance(cone, EdgeCone) and cone._fast_margin is None:
-            m, _, coords, _ = cone.optimizer_margin(a, warm_coords=warm_cache.get(flat))
-            warm_cache[flat] = coords
-            return m
-        return cone.margin(a)
-
-    t0 = flat_vals[flat]
-    up = flat_vals[stencil.axis_plus[row]]
-    dn = flat_vals[stencil.axis_minus[row]]
-    osc = float(max(up.max(), dn.max()) - min(up.min(), dn.min()))
-    width = max(2.0 * osc, h2, 1e-8)
-    lo, hi = t0 - width, t0 + width
-    m_lo, m_hi = margin_at(lo), margin_at(hi)
-    grow = 0
-    # margin decreases in t: need m(lo) >= 0 >= m(hi)
-    while (m_lo < 0 or m_hi > 0) and grow < 40:
-        width *= 2.0
-        lo, hi = t0 - width, t0 + width
-        m_lo, m_hi = margin_at(lo), margin_at(hi)
-        grow += 1
-    if m_lo < 0 or m_hi > 0:
-        raise RuntimeError("bracket failure: cone admits an unbounded center direction")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin_at(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _refresh_axis_ghosts_single(stencil: _Stencil, flat_vals: np.ndarray, row: int):
-    n = stencil.dom.n
-    t = flat_vals[stencil.flat_interior[row]]
-    for axis in range(n):
-        if stencil.ghost_plus[row, axis]:
-            th = stencil.theta_plus[row, axis]
-            flat_vals[stencil.axis_plus[row, axis]] = t + (stencil.phi_plus[row, axis] - t) / th
-        if stencil.ghost_minus[row, axis]:
-            th = stencil.theta_minus[row, axis]
-            flat_vals[stencil.axis_minus[row, axis]] = t + (stencil.phi_minus[row, axis] - t) / th
-
-
 def _refresh_axis_ghosts(stencil: _Stencil, flat_vals: np.ndarray):
-    """Set every axis ghost from its owners (mean over owner constraints)."""
+    """Set every ghost, axis and corner, from its owners (mean over owner
+    constraints); node updates read the corner ghosts, lagged."""
     if stencil.dom.kind != "ball" or stencil.g_flat.size == 0:
         return
     t = flat_vals[stencil.flat_interior[stencil.g_rows]]
@@ -430,6 +382,8 @@ class SolveInfo:
     history: list = field(default_factory=list)
     ordering: str = "lex"
     omega: float = 1.0
+    # largest |margin(D^2 u)| met by the node updates of the last sweep
+    max_residual: float = 0.0
 
 
 def _jacobi_radius(dom: GridDomain, weights: np.ndarray) -> float:
@@ -453,12 +407,24 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     (same fixed point within tol, much faster on large grids).  init
     ("max", "min" or "zero") picks the constant start value.
 
-    For a margin <A, W> with diagonal W the sweeps are over-relaxed with
-    Young's optimal factor omega = 2 / (1 + sqrt(1 - rho^2)), where rho is
-    the closed-form Jacobi radius of the grid (exact on boxes, an upper
-    bound on balls); every other margin, and use_bisection=True, runs plain
-    Gauss-Seidel (omega = 1).  The factor used is reported in
-    SolveInfo.omega.
+    Each node moves to the root of its margin along the node pencil (see
+    the module docstring): in closed form for linear margins and where d
+    is constant, else by bisection to tol h^2 / 10 inside the
+    identity-shift bracket.  For a margin <A, W> with diagonal W the sweeps
+    are over-relaxed with Young's optimal factor
+    omega = 2 / (1 + sqrt(1 - rho^2)), where rho is the closed-form Jacobi
+    radius of the grid (exact on boxes, an upper bound on balls); every
+    other margin runs plain Gauss-Seidel (omega = 1).
+
+    use_bisection=True is the Gauss-Seidel reference: omega = 1, and every
+    node bisects, also where the closed form is exact, inside the bracket
+    widened on each side by max(width, h^2); a bracket whose ends do not
+    carry opposite margin signs raises RuntimeError.
+
+    SolveInfo reports the factor used (omega), the largest update of the
+    last sweep (max_update, the stopping quantity) and the largest
+    |margin(D^2 u)| the node updates of the last sweep met before moving
+    (max_residual).
     """
     if cone.n != dom.n:
         raise ValueError(f"cone ambient {cone.n} != grid dimension {dom.n}")
@@ -491,69 +457,96 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     _refresh_axis_ghosts(stencil, flat)
 
     h2 = dom.h * dom.h
-    m = stencil.flat_interior.size
     lin_w = cone.linear_margin_weight
+    slope = cone.id_shift_slope
+    optimizer = isinstance(cone, EdgeCone) and cone._fast_margin is None
     warm_cache: dict = {}
+    eye = np.eye(dom.n)
+    tol_s = 0.1 * tol * h2        # bisection resolution of the center shift
     history = []
     converged = False
-    sweeps = 0
+    sweeps, residual = 0, 0.0
 
-    ball_eig = dom.kind == "ball" and lin_w is None
     omega = 1.0
     if (lin_w is not None and not use_bisection
             and np.count_nonzero(lin_w - np.diag(np.diag(lin_w))) == 0):
         rho = _jacobi_radius(dom, np.diag(lin_w))
         omega = 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
 
-    def update_rows(rows: np.ndarray) -> float:
-        if rows.size == 0:
-            return 0.0
-        if use_bisection or ball_eig:
-            worst = 0.0
-            for row in rows:
-                t_new = node_threshold_bisect(cone, stencil, flat, int(row),
-                                              tol * h2 * 0.1, warm_cache)
-                f_idx = stencil.flat_interior[row]
-                worst = max(worst, abs(t_new - flat[f_idx]))
-                flat[f_idx] = t_new
-                _refresh_axis_ghosts_single(stencil, flat, int(row))
-            return worst
-        if lin_w is not None:
-            return _update_rows_linear(stencil, flat, rows, lin_w, omega)
-        # eigen-margin on a box: exact identity-shift solve
-        a0 = _hessian_batch(stencil, flat, rows)
-        if isinstance(cone, EdgeCone) and cone._fast_margin is None:
-            margins = np.empty(rows.size)
-            for i, row in enumerate(rows):
-                f_idx = stencil.flat_interior[row]
-                mg, _, coords, _ = cone.optimizer_margin(
-                    a0[i], warm_coords=warm_cache.get(f_idx))
-                warm_cache[f_idx] = coords
-                margins[i] = mg
-        else:
-            margins = cone.margin_batch(a0)
-        t_new = flat[stencil.flat_interior[rows]] + h2 * margins / (2.0 * cone.id_shift_slope)
-        worst = float(np.abs(t_new - flat[stencil.flat_interior[rows]]).max())
-        flat[stencil.flat_interior[rows]] = t_new
-        return worst
+    # per-row denominators of the root shift: exact for a linear margin;
+    # otherwise Loewner monotonicity and the exact Id shift bracket the
+    # root between h^2 m / (slope max d) and h^2 m / (slope min d), a
+    # bracket of width zero where d is constant
+    if lin_w is not None:
+        den_lo = den_hi = stencil.pencil_d @ np.diag(lin_w)
+    else:
+        den_lo = slope * stencil.pencil_d.max(axis=1)
+        den_hi = slope * stencil.pencil_d.min(axis=1)
 
-    all_rows = np.arange(m)
+    def margins(a_stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Margins of the Hessians at the given rows; a cone without a
+        closed form runs the translate optimizer warm-started per node."""
+        if not optimizer:
+            return cone.margin_batch(a_stack)
+        out = np.empty(rows.size)
+        for i, f_idx in enumerate(stencil.flat_interior[rows]):
+            out[i], _, warm_cache[f_idx], _ = cone.optimizer_margin(
+                a_stack[i], warm_coords=warm_cache.get(f_idx))
+        return out
+
+    def update_rows(rows: np.ndarray) -> tuple[float, float]:
+        """Move each row's center by its root shift s of
+        margin(H - s diag(d) / h^2); returns the largest change and the
+        largest |margin| before the move."""
+        if rows.size == 0:
+            return 0.0, 0.0
+        a0, d = _node_pencil(stencil, flat, rows)
+        m0 = margins(a0, rows)
+
+        def shifted(k, s):
+            return a0[k] - (s / h2)[:, None, None] * (d[k][:, :, None] * eye)
+
+        lo, hi = h2 * m0 / den_lo[rows], h2 * m0 / den_hi[rows]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        if use_bisection:
+            pad = np.maximum(hi - lo, h2)
+            lo, hi = lo - pad, hi + pad
+            every = np.arange(rows.size)
+            bad = int(np.count_nonzero((margins(shifted(every, lo), rows) < 0)
+                                       | (margins(shifted(every, hi), rows) > 0)))
+            if bad:
+                raise RuntimeError(f"bracket failure: the margin keeps its sign "
+                                   f"across the identity-shift bracket at {bad} nodes")
+        open_ = np.flatnonzero(hi - lo > tol_s)
+        while open_.size:
+            lo_o, hi_o = lo[open_], hi[open_]
+            mid = 0.5 * (lo_o + hi_o)
+            up = margins(shifted(open_, mid), rows[open_]) >= 0
+            lo[open_] = np.where(up, mid, lo_o)
+            hi[open_] = np.where(up, hi_o, mid)
+            # a row also stops once its bracket has no float strictly inside
+            open_ = open_[(hi[open_] - lo[open_] > tol_s) & (lo_o < mid) & (mid < hi_o)]
+        f_idx = stencil.flat_interior[rows]
+        t = flat[f_idx]
+        t_new = t + omega * 0.5 * (lo + hi)
+        flat[f_idx] = t_new
+        return float(np.abs(t_new - t).max()), float(np.abs(m0).max())
+
+    all_rows = np.arange(stencil.flat_interior.size)
     red_rows = np.flatnonzero(stencil.red_mask)
     black_rows = np.flatnonzero(~stencil.red_mask)
 
     for sweeps in range(1, max_sweeps + 1):
         if ordering == "lex":
-            worst = 0.0
-            for row in all_rows:
-                worst = max(worst, update_rows(np.array([row])))
+            steps = [update_rows(np.array([row])) for row in all_rows]
         else:
-            w1 = update_rows(red_rows)
+            steps = [update_rows(red_rows)]
             _refresh_axis_ghosts(stencil, flat)
-            w2 = update_rows(black_rows)
-            worst = max(w1, w2)
+            steps.append(update_rows(black_rows))
+        worst, residual = np.max(steps, axis=0)
         _refresh_axis_ghosts(stencil, flat)
         if sweeps % history_every == 0:
-            history.append((sweeps, worst))
+            history.append((sweeps, float(worst)))
         if worst < tol:
             converged = True
             break
@@ -561,50 +554,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     field_vals = flat.reshape(dom.shape)
     return (GridField(dom, field_vals),
             SolveInfo(converged, sweeps, history[-1][1] if history else 0.0,
-                      history, ordering, float(omega)))
-
-
-def _update_rows_linear(stencil, flat_vals, rows, w, omega) -> float:
-    """Over-relaxed node update for margins of the form <A, W>.
-
-    Solving <A(t), W> = 0 with the axis-ghost coupling folded in gives the
-    Gauss-Seidel value t_GS; diagonal data terms use the crossing values,
-    corner terms read the array.  The node moves to t + omega (t_GS - t)
-    and the largest applied change is returned.
-    """
-    dom = stencil.dom
-    n = dom.n
-    h2 = dom.h * dom.h
-    up = flat_vals[stencil.axis_plus[rows]].copy()
-    dn = flat_vals[stencil.axis_minus[rows]].copy()
-    gp = stencil.ghost_plus[rows]
-    gm = stencil.ghost_minus[rows]
-    # data part of ghost sides and the t-coefficient per axis
-    coef = np.full((rows.size, n), 2.0)
-    if gp.any():
-        up[gp] = (stencil.phi_plus[rows] / stencil.theta_plus[rows])[gp]
-        coef[gp] -= (1.0 - 1.0 / stencil.theta_plus[rows][gp])
-    if gm.any():
-        dn[gm] = (stencil.phi_minus[rows] / stencil.theta_minus[rows])[gm]
-        coef[gm] -= (1.0 - 1.0 / stencil.theta_minus[rows][gm])
-    diag_w = np.diag(w)
-    const = ((up + dn) * diag_w).sum(axis=1)
-    denom = (coef * diag_w).sum(axis=1)
-    # off-diagonal contributions are t-independent
-    for idx, (i, j) in enumerate(stencil.pairs):
-        wij = w[i, j]
-        if wij == 0.0:
-            continue
-        cr = (flat_vals[stencil.corner_pp[rows, idx]]
-              + flat_vals[stencil.corner_mm[rows, idx]]
-              - flat_vals[stencil.corner_pm[rows, idx]]
-              - flat_vals[stencil.corner_mp[rows, idx]]) / 4.0
-        const += 2.0 * wij * cr
-    f_idx = stencil.flat_interior[rows]
-    t = flat_vals[f_idx]
-    change = omega * (const / denom - t)
-    flat_vals[f_idx] = t + change
-    return float(np.abs(change).max())
+                      history, ordering, float(omega), float(residual)))
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,13 @@ class TestCli:
         assert prov["kind"] == "ball"
         assert field.domain.interior.sum() > 0
 
+    def test_solve_reports_residual(self, tmp_path, capsys):
+        run_cli(["solve", "--cone", "P", "--n", "2", "--domain", "box",
+                 "--h", "0.25", "--phi", "affine", "--out", str(tmp_path / "g.csv")])
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("converged:")][0]
+        assert "max residual" in line
+
     def test_solve_grid_roundtrip_box(self, tmp_path):
         out = tmp_path / "grid.csv"
         run_cli(["solve", "--cone", "P", "--n", "2", "--domain", "box",

@@ -116,6 +116,30 @@ class TestOracleInputChecks:
             getattr(cone, op)(a)
 
 
+class TestMarginInputChecks:
+    """margin checks its matrix as contains does."""
+
+    @pytest.fixture(params=sorted(TestOracleInputChecks.CONES))
+    def cone(self, request):
+        return TestOracleInputChecks.CONES[request.param]()
+
+    def test_wrong_size(self, cone):
+        with pytest.raises(ValueError, match=r"^margin: matrix a is 3x3, cone ambient 4"):
+            cone.margin(np.eye(3))
+
+    def test_nan_entry(self, cone):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^margin: matrix a rejected: .*finite"):
+            cone.margin(a)
+
+    def test_asymmetric(self, cone):
+        a = np.eye(4)
+        a[0, 1] = 0.5
+        with pytest.raises(ValueError, match=r"^margin: matrix a rejected: .*not symmetric"):
+            cone.margin(a)
+
+
 class TestOptimizerAgainstClosedForms:
     @pytest.mark.parametrize("name,n", [("P_C", 4), ("P_LAG", 4), ("P_H", 4),
                                         ("GL_IJK", 8), ("laplace", 3)])

@@ -219,6 +219,79 @@ class TestPerronSolve:
         assert list(sweeps) == list(range(1, info.sweeps + 1))
 
 
+class TestNodeUpdate:
+    def test_pencil_center_shift_is_exact(self, rng):
+        # H(t + s) recomputed by plain central differences, after writing
+        # t + s and the row's own axis ghosts, is H(t) - s diag(d) / h^2
+        dom = dh.GridDomain.ball(1.0, 1 / 8)
+        st = dh._build_stencil(dom, lambda p: np.cos(2 * p[:, 0]) + p[:, 1])
+        flat = rng.normal(size=dom.interior.size)
+        rows = np.arange(st.flat_interior.size)
+        h0, d = dh._node_pencil(st, flat, rows)
+        assert (d[~st.ghost_plus & ~st.ghost_minus] == 2.0).all()
+        assert (d > 2.0).any()
+        shifts = rng.normal(size=rows.size)
+        for row, s in zip(rows, shifts):
+            moved = flat.copy()
+            t = flat[st.flat_interior[row]] + s
+            moved[st.flat_interior[row]] = t
+            for nbs, ghost, theta, phi in (
+                    (st.axis_plus, st.ghost_plus, st.theta_plus, st.phi_plus),
+                    (st.axis_minus, st.ghost_minus, st.theta_minus, st.phi_minus)):
+                for axis in np.flatnonzero(ghost[row]):
+                    moved[nbs[row, axis]] = t + (phi[row, axis] - t) / theta[row, axis]
+            idx = np.unravel_index(st.flat_interior[row], dom.shape)
+            h1 = dh.discrete_hessian(dh.GridField(dom, moved.reshape(dom.shape)), idx)
+            expect = h0[row] - s * np.diag(d[row]) / dom.h ** 2
+            assert np.abs(h1 - expect).max() <= 1e-12
+
+    def test_disk_orderings_agree_with_eigen_margin(self):
+        cone = cat.build_cone("P", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 4)
+        phi = lambda p: np.cos(2 * p[:, 0]) + 0.5 * p[:, 1] ** 2
+        u1, info1 = dh.perron_solve(cone, dom, phi, ordering="lex", tol=1e-10)
+        u2, info2 = dh.perron_solve(cone, dom, phi, ordering="redblack", tol=1e-10)
+        assert info1.converged and info2.converged
+        assert np.abs(u1.values - u2.values)[dom.interior].max() <= 1e-8
+
+    def test_disk_bracket_matches_bisection_reference(self):
+        cone = cat.build_cone("P_C", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 4)
+        phi = lambda p: np.cos(2 * p[:, 0]) + 0.5 * p[:, 1] ** 2
+        u1, _ = dh.perron_solve(cone, dom, phi, ordering="redblack", tol=1e-10)
+        u2, info2 = dh.perron_solve(cone, dom, phi, ordering="redblack", tol=1e-10,
+                                    use_bisection=True)
+        assert info2.converged
+        assert np.abs(u1.values - u2.values)[dom.interior].max() <= 1e-8
+
+    @pytest.mark.parametrize("name", ["laplace", "P"])
+    def test_residual_is_the_margin_behind_the_update(self, name):
+        # on a box d = 2 and the slope is 1, so each update moves the node
+        # by omega h^2 margin / 2: the recorded residual follows from the
+        # recorded update
+        cone = cat.build_cone(name, 2)
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 8)
+        phi = lambda p: np.cos(2 * p[:, 0]) + 0.3 * p[:, 1]
+        _, info = dh.perron_solve(cone, dom, phi, ordering="redblack",
+                                  tol=1e-14, max_sweeps=5)
+        assert not info.converged
+        expect = 2.0 * info.max_update / (info.omega * dom.h ** 2)
+        assert info.max_residual == pytest.approx(expect, rel=1e-9)
+
+    def test_bisection_reference_checks_its_bracket(self):
+        class RisingMargin(cn.ConeHandle):
+            """A broken oracle: the margin grows under A -> A - s Id."""
+            n = 2
+
+            def margin_batch(self, a_stack):
+                return -np.trace(a_stack, axis1=1, axis2=2)
+
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 4)
+        with pytest.raises(RuntimeError, match="bracket failure"):
+            dh.perron_solve(RisingMargin(), dom, lambda p: p[:, 0] ** 2,
+                            use_bisection=True)
+
+
 def dense_jacobi_radius(dom, weights):
     """Spectral radius of the dense Jacobi matrix of <D^2 u, diag(w)> = 0,
     assembled node by node from the stencil tables (ghost sides weigh
