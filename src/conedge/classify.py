@@ -22,7 +22,6 @@ from .symspace import (
     SymSubspace,
     as_rng,
     direct_sum,
-    residual_norm,
     zero_subspace,
 )
 
@@ -50,25 +49,9 @@ class CatalogEntry:
 # sampler keys: ("on",), ("un", struct), ("spn_sp1",), ("spn_s1", struct)
 
 def element_sampler(key: tuple, n_real: int):
-    kind = key[0]
-    if kind == "on":
-        g = st.Group("on", n_real)
-        return lambda seed: st.sample_group_element(g, seed)
-    if kind in ("spn", "spn_sp1"):
-        g = st.Group(kind, n_real)
-        return lambda seed: st.sample_group_element(g, seed)
-    if kind == "spn_s1":
-        g = st.Group("spn_s1", n_real)
-        direction = key[1]
-        return lambda seed: st.sample_group_element(g, seed, direction=direction)
-    if kind == "un":
-        if len(key) == 1 or key[1] == "std":
-            g = st.Group("un", n_real)
-            return lambda seed: st.sample_group_element(g, seed)
-        trip = st.quaternion_triple(n_real // 4)
-        struct = {"i": trip.i, "j": trip.j, "k": trip.k}[key[1]]
-        return lambda seed: st.unitary_sample_for_structure(struct, seed)
-    raise ValueError(f"unknown sampler key {key!r}")
+    """`seed or rng -> g` for a sampler key; "std" is the standard structure."""
+    direction = key[1] if len(key) > 1 and key[1] != "std" else None
+    return st.group_sampler(st.Group(key[0], n_real), direction)
 
 
 def sampler_label(key: tuple) -> str:
@@ -162,14 +145,12 @@ def invariance_residuals(edge: SymSubspace, sampler, samples: int, seed: int
     rng = as_rng(seed)
     if edge.dim == 0:
         return np.zeros(samples)
+    flat = edge.basis.reshape(edge.dim, -1)
     out = np.empty(samples)
     for t in range(samples):
         g = sampler(rng)
-        worst = 0.0
-        for b in edge.basis:
-            conj = g.T @ b @ g
-            worst = max(worst, residual_norm(edge, conj))
-        out[t] = worst
+        conj = (g.T @ edge.basis @ g).reshape(edge.dim, -1)
+        out[t] = np.linalg.norm(conj - (conj @ flat.T) @ flat, axis=1).max()
     return out
 
 

@@ -21,6 +21,7 @@ from . import cones as cn
 from . import dirichlet as dh
 from . import edgefuncs as ef
 from . import structures as st
+from .dirichlet import read_grid_csv
 from .symspace import frob_norm
 
 AMBIENT_FACTOR = {"on": 1, "un": 2, "spn": 4, "spn_sp1": 4, "spn_s1": 4}
@@ -78,31 +79,30 @@ def read_matrix_file(path) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _apply_config(args, parser):
+def _apply_config(argv, args, parser):
+    """Parse again with each config line `key = value` appended as the flag
+    `--key=value`, or for a switch `--key` added (true) or removed (false):
+    config values get the flags' types and choices and override flags."""
     path = getattr(args, "config", None)
     if not path:
         return args
+    extra = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise SystemExit(f"malformed config line: {raw!r}")
+                parser.error(f"malformed config line: {raw!r}")
             key, val = (p.strip() for p in line.split("=", 1))
-            key = key.replace("-", "_")
-            if not hasattr(args, key):
-                raise SystemExit(f"unknown config key {key!r}")
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, key, int(val))
-            elif isinstance(current, float):
-                setattr(args, key, float(val))
+            flag = "--" + key.replace("_", "-")
+            if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+                extra.append(f"{flag}={val}")
+            elif val.lower() in ("1", "true", "yes"):
+                extra.append(flag)
             else:
-                setattr(args, key, val)
-    return args
+                argv = [a for a in argv if a != flag]
+    return parser.parse_args([*argv, *extra])
 
 
 # ----------------------------------------------------------------------
@@ -310,14 +310,8 @@ def cmd_solve(args) -> int:
                      + 0.5 * np.einsum("pi,ij,pj->p", pts, curv, pts))
             err = np.abs(field_sol.values.ravel() - exact)[dom.interior.ravel()]
             print(f"sup error vs exact extension: {err.max():.6e}")
-    prov = _provenance(args, {
-        "cone": args.cone, "domain": args.domain, "h": args.h,
-        "phi": args.phi, "kind": dom.kind,
-        "shape": "x".join(map(str, dom.shape)),
-        "origin": ",".join(repr(float(v)) for v in dom.origin),
-        "radius": dom.radius if dom.radius is not None else "",
-        "ordering": args.ordering,
-    })
+    prov = _provenance(args, {"cone": args.cone, "domain": args.domain,
+                              "phi": args.phi, "ordering": args.ordering})
     out = args.out or "grid.csv"
     dh.write_grid_csv(out, field_sol, prov)
     print(f"grid written to {out}")
@@ -375,46 +369,6 @@ def cmd_witness(args) -> int:
     if args.out:
         _emit_records(args.out, records, _provenance(args, {"cone": args.cone}))
     return 0
-
-
-def read_grid_csv(path):
-    """Rebuild a grid field from a solver CSV (provenance header drives
-    the domain reconstruction)."""
-    prov = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                prov[key.strip()] = val.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line.split(","))
-    kind = prov.get("kind", "box")
-    h = float(prov["h"])
-    origin = np.array([float(v) for v in prov["origin"].split(",")])
-    shape = tuple(int(v) for v in prov["shape"].split("x"))
-    n = len(shape)
-    if kind == "ball":
-        dom = dh.GridDomain.ball(float(prov["radius"]), h,
-                                 center=origin + (np.array(shape) - 1) / 2 * h,
-                                 dim=n)
-    else:
-        hi = origin + (np.array(shape) - np.ones(n)) * h
-        dom = dh.GridDomain.box(origin, hi, h)
-    vals = np.zeros(dom.shape)
-    mask = dom.interior | dom.boundary
-    flat_order = np.flatnonzero(mask.ravel())
-    if len(rows) != flat_order.size:
-        raise ValueError("grid file does not match the reconstructed domain")
-    flat = vals.ravel()
-    for pos, row in zip(flat_order, rows):
-        flat[pos] = float(row[n])
-    return dh.GridField(dom, flat.reshape(dom.shape)), prov
 
 
 # ----------------------------------------------------------------------
@@ -500,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _apply_config(argv, parser.parse_args(argv), parser)
     try:
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:

@@ -14,8 +14,9 @@ Three kinds of handle:
 
 All margins agree in sign with exact membership and shift exactly by -s
 (or -s tr N for half-spaces) under A -> A - s Id, which downstream solvers
-rely on.  margin, contains and dual_contains check their matrix as
-sym_matrix does (square, finite, symmetric) and against the cone's size.
+rely on.  margin, margin_batch, contains and dual_contains check their
+input as sym_matrix does (square, finite, symmetric; per matrix for a
+stack) and against the cone's size.
 Handles are immutable; caches are write-once.
 """
 
@@ -40,6 +41,7 @@ from .symspace import (
     subspace_coords,
     subspace_project,
     sym_matrix,
+    sym_stack,
     zero_subspace,
 )
 
@@ -320,7 +322,12 @@ class ConeHandle:
         raise NotImplementedError
 
     def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        return np.array([self.margin(a) for a in a_stack])
+        """Margins of an (m, n, n) stack, each matrix checked as in `margin`."""
+        return self._margin_batch(self._checked(a_stack, "margin_batch", stack=True))
+
+    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
+        """Margins of a checked stack."""
+        return np.array([self._margin_with_witness(a)[0] for a in a_stack])
 
     @property
     def id_shift_slope(self) -> float:
@@ -328,15 +335,16 @@ class ConeHandle:
         return 1.0
 
     # --- membership ----------------------------------------------------
-    def _checked(self, a, op: str) -> np.ndarray:
-        """The symmetric matrix `a` after sym_matrix's checks (square,
-        finite, symmetric) and the cone's size check."""
+    def _checked(self, a, op: str, stack: bool = False) -> np.ndarray:
+        """The symmetric matrix `a` (with `stack`, each matrix of an
+        (m, n, n) stack) after sym_matrix's checks (square, finite,
+        symmetric) and the cone's size check."""
         try:
-            a = sym_matrix(a)
+            a = sym_stack(a) if stack else sym_matrix(a)
         except ValueError as exc:
             raise ValueError(f"{op}: matrix a rejected: {exc}") from None
-        if a.shape[0] != self.n:
-            raise ValueError(f"{op}: matrix a is {a.shape[0]}x{a.shape[0]}, "
+        if a.shape[-1] != self.n:
+            raise ValueError(f"{op}: matrix a is {a.shape[-1]}x{a.shape[-1]}, "
                              f"cone ambient {self.n}")
         return a
 
@@ -395,10 +403,10 @@ class EdgeCone(ConeHandle):
     def edge_of(self) -> SymSubspace:
         return self.edge
 
-    def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
+    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         if self._fast_margin is not None:
             return self._fast_margin(a_stack)
-        return super().margin_batch(a_stack)
+        return super()._margin_batch(a_stack)
 
     def optimizer_margin(self, a: np.ndarray, warm_coords=None, quick: bool = False):
         """Margin by the translate optimizer regardless of any fast form.
@@ -447,7 +455,7 @@ class HalfspaceCone(ConeHandle):
         self._edge = None
         self._span = None
 
-    def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
+    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         return np.einsum("mij,ji->m", a_stack, self.normal)
 
     @property
@@ -485,18 +493,20 @@ class GeometricCone(ConeHandle):
         self.seed = seed
         self.name = name
         self._algebra = _algebra_projector(family)
+        self._sampler = st.plane_sampler(family)
         self._frames = None
         self._projectors = None
         self._edge = None
         self._span = None
 
     # frame cache -------------------------------------------------------
+    def _draw_frames(self, count: int, seed: int) -> np.ndarray:
+        rng = as_rng(seed)
+        return np.array([self._sampler(rng) for _ in range(count)])
+
     def frames(self) -> np.ndarray:
         if self._frames is None:
-            rng = as_rng(self.seed)
-            self._frames = np.array(
-                [st.sample_plane(self.family, rng) for _ in range(self.budget)]
-            )
+            self._frames = self._draw_frames(self.budget, self.seed)
         return self._frames
 
     def projectors(self) -> np.ndarray:
@@ -506,7 +516,7 @@ class GeometricCone(ConeHandle):
         return self._projectors
 
     # margins -------------------------------------------------------------
-    def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
+    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         k = self.family.plane_dim
         vals = np.einsum("fij,mji->mf", self.projectors(), a_stack) / k
         return vals.min(axis=1)
@@ -550,12 +560,8 @@ class GeometricCone(ConeHandle):
         return self._edge
 
     def _span_from_samples(self, count: int, seed: int) -> SymSubspace:
-        rng = as_rng(seed)
-        mats = []
-        for _ in range(count):
-            f = st.sample_plane(self.family, rng)
-            mats.append(f.T @ f)
-        flat = np.array([m.ravel() for m in mats])
+        f = self._draw_frames(count, seed)
+        flat = np.einsum("fki,fkj->fij", f, f).reshape(count, -1)
         u, s, vt = np.linalg.svd(flat, full_matrices=False)
         rank = int(np.sum(s > RANK_SVD_RTOL * s[0]))
         gens = [vt[i].reshape(self.n, self.n) for i in range(rank)]
@@ -565,22 +571,19 @@ class GeometricCone(ConeHandle):
 
 def _algebra_projector(family: st.PlaneFamily):
     """Projection of a skew matrix onto the Lie algebra of the group that
-    acts transitively on the family (geodesic moves stay inside it)."""
-    tag = family.tag
-    if tag == "grass":
-        return lambda x: x
-    if tag not in ("hp", "hlag", "gl_ijk"):
-        struct = st.family_structure_matrix(family)
-        return lambda x: st.complex_sym_part(x, struct)
-    trip = st.quaternion_triple(family.ambient // 4)
-    if tag != "hp":
-        return lambda x: st.quat_sym_part(x, trip)
+    acts transitively on the family (geodesic moves stay inside it): the
+    commutant of the structures its frames are built against, plus the
+    span of I, J, K for quaternionic lines."""
+    _, mats, _ = st.family_spec(family)
 
     def proj(x):
-        # sp(n) + sp(1): the commuting part plus the span of I, J, K
-        out = st.quat_sym_part(x, trip)
-        for m in (trip.i, trip.j, trip.k):
-            out = out + (np.einsum("ij,ji->", x, m) / np.einsum("ij,ji->", m, m)) * m
+        out = x
+        for m in mats:
+            out = out - m @ x @ m
+        out = out / (1 + len(mats))
+        if family.tag == "hp":  # sp(n) + sp(1)
+            for m in mats:
+                out = out + (np.einsum("ij,ji->", x, m) / np.einsum("ij,ji->", m, m)) * m
         return out
 
     return proj
@@ -740,15 +743,7 @@ def support_of(cone: ConeHandle, *, seed: int = 0, check_samples: int = 100) -> 
         if r < SUPPORT_ACCEPT:
             killed.append(e)
             # deflate: restrict the search to the orthogonal complement
-            new_rows = []
-            for row in q_rows:
-                w = row - (row @ e) * e
-                for prev in new_rows:
-                    w -= (w @ prev) * prev
-                nw = np.linalg.norm(w)
-                if nw > 1e-9:
-                    new_rows.append(w / nw)
-            q_rows = np.array(new_rows) if new_rows else np.zeros((0, n))
+            q_rows = st.orthonormal_rows([e, *q_rows], q_rows.shape[0])[1:]
             continue
         if r < SUPPORT_DEADBAND:
             indeterminate.append((float(r), e))
@@ -756,17 +751,7 @@ def support_of(cone: ConeHandle, *, seed: int = 0, check_samples: int = 100) -> 
 
     killed_arr = np.array(killed) if killed else np.zeros((0, n))
     # support = orthogonal complement of the killed directions
-    rows = []
-    for cand in np.eye(n):
-        w = cand.copy()
-        for kr in killed_arr:
-            w -= (w @ kr) * kr
-        for prev in rows:
-            w -= (w @ prev) * prev
-        nw = np.linalg.norm(w)
-        if nw > 1e-9:
-            rows.append(w / nw)
-    support = np.array(rows) if rows else np.zeros((0, n))
+    support = st.orthonormal_rows([*killed, *np.eye(n)], n)[len(killed):]
 
     checked = failures = 0
     if 0 < support.shape[0] < n:

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cones import ConeHandle, EdgeCone
 from .symspace import SymSubspace, as_rng
@@ -631,6 +630,9 @@ def edge_envelope(edge: SymSubspace, dom: GridDomain, phi, x, *,
     b_ub = vals
     target = np.concatenate([[1.0], x, quad_cols(x[None, :])[0]])
 
+    # scipy.optimize costs 48 MB and 0.3 s to import; only this LP needs it
+    from scipy.optimize import linprog
+
     def solve(mb):
         res = linprog(-target, A_ub=a_ub, b_ub=b_ub,
                       bounds=[(-mb, mb)] * n_var, method="highs")
@@ -717,13 +719,20 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
 # ----------------------------------------------------------------------
 
 def write_grid_csv(path, field_sol: GridField, provenance: dict | None = None):
+    """`# key = value` header lines (the provenance, then the domain keys
+    read_grid_csv needs), then one row per interior or boundary node."""
     dom = field_sol.domain
     coords = dom.coords().reshape(-1, dom.n)
     vals = field_sol.values.ravel()
     interior = dom.interior.ravel()
     boundary = dom.boundary.ravel()
+    header = {**(provenance or {}),
+              "kind": dom.kind, "h": dom.h,
+              "shape": "x".join(map(str, dom.shape)),
+              "origin": ",".join(repr(float(v)) for v in dom.origin),
+              "radius": dom.radius if dom.kind == "ball" else ""}
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (provenance or {}).items():
+        for key, value in header.items():
             fh.write(f"# {key} = {value}\n")
         cols = [f"x{i}" for i in range(dom.n)]
         fh.write(",".join(cols + ["value", "mask"]) + "\n")
@@ -733,6 +742,39 @@ def write_grid_csv(path, field_sol: GridField, provenance: dict | None = None):
             mask = "interior" if interior[row] else "boundary"
             pos = ",".join(repr(float(c)) for c in coords[row])
             fh.write(f"{pos},{float(vals[row])!r},{mask}\n")
+
+
+def read_grid_csv(path):
+    """Rebuild a grid field from a write_grid_csv file; returns the field
+    and the header as a dict of strings."""
+    prov = {}
+    rows = []  # the column header, then one row per node
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                prov[key.strip()] = val.strip()
+            else:
+                rows.append(line.split(","))
+    rows = rows[1:]
+    h = float(prov["h"])
+    origin = np.array([float(v) for v in prov["origin"].split(",")])
+    shape = tuple(int(v) for v in prov["shape"].split("x"))
+    n = len(shape)
+    if prov["kind"] == "ball":
+        dom = GridDomain.ball(float(prov["radius"]), h,
+                              center=origin + (np.array(shape) - 1) / 2 * h,
+                              dim=n)
+    else:
+        hi = origin + (np.array(shape) - np.ones(n)) * h
+        dom = GridDomain.box(origin, hi, h)
+    mask = dom.interior | dom.boundary  # rows come in C order, as written
+    if len(rows) != mask.sum():
+        raise ValueError("grid file does not match the reconstructed domain")
+    vals = np.zeros(dom.shape)
+    vals[mask] = [float(row[n]) for row in rows]
+    return GridField(dom, vals), prov
 
 
 def write_grid_ppm(path, field_sol: GridField):

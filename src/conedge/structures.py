@@ -11,6 +11,10 @@ four compact groups handled here, their closed-form projectors, samplers
 for the associated plane families and group elements, the canonical form
 of matrices commuting with I and anti-commuting with J, K, and the
 determinant-type operator values built from grouped eigenvalues.
+
+Every sampler rests on one structured frame builder, `orthonormal_rows`:
+vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
+`plane_sampler` and `group_sampler` build their structures once.
 """
 
 from __future__ import annotations
@@ -341,31 +345,39 @@ def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float = 1e-
     return w / nw
 
 
-def _structured_frame(seeds: np.ndarray, mats: list[np.ndarray], max_tries: int = 64,
-                      rng=None):
-    """Orthonormalize seed vectors against themselves and their images.
-
-    Returns seed rows u_l such that {u_l} + {M u_l : M in mats} is an
-    orthonormal set; resamples degenerate seeds (bounded retries).
-    """
+def orthonormal_rows(candidates, count: int, mats=()) -> np.ndarray:
+    """The first `count` candidates that survive Gram-Schmidt against the
+    earlier survivors and their images under `mats`, normalized; degenerate
+    candidates are skipped and running out raises ValueError.  Nothing past
+    the last survivor is read, so random draws are taken only as needed."""
     rows: list[np.ndarray] = []
-    seeds_out = []
-    dim = seeds.shape[1]
-    k = 0
-    tries = 0
-    while k < seeds.shape[0]:
-        u = _orthonormal_against(seeds[k], rows)
+    out = []
+    for v in candidates:
+        u = _orthonormal_against(np.asarray(v, dtype=float), rows)
         if u is None:
-            tries += 1
-            if rng is None or tries > max_tries:
-                raise ValueError("degenerate seed set for structured frame")
-            seeds[k] = rng.normal(size=dim)
             continue
-        seeds_out.append(u)
+        out.append(u)
+        if len(out) == count:
+            return np.array(out)
         rows.append(u)
         rows.extend(m @ u for m in mats)
-        k += 1
-    return np.array(seeds_out)
+    raise ValueError(f"degenerate candidates: {len(out)} of {count} "
+                     "structured frame vectors found")
+
+
+def _gaussian_rows(rng, count: int, n: int):
+    """A (count, n) Gaussian block, then at most 64 single redraws to stand
+    in for degenerate draws."""
+    yield from rng.normal(size=(count, n))
+    for _ in range(64):
+        yield rng.normal(size=n)
+
+
+def _expand(seeds: np.ndarray, mats) -> np.ndarray:
+    """Rows: each seed followed by its images under `mats`."""
+    seeds = np.asarray(seeds)
+    images = [seeds] + [seeds @ m.T for m in mats]
+    return np.stack(images, axis=1).reshape(-1, seeds.shape[1])
 
 
 def family_spec(family: PlaneFamily):
@@ -396,24 +408,22 @@ def family_spec(family: PlaneFamily):
     raise ValueError(f"unhandled family {tag!r}")
 
 
-def frame_from_seeds(family: PlaneFamily, seeds: np.ndarray) -> np.ndarray:
-    """Expand orthonormalized seed rows into the full plane frame."""
-    _, _, row_mats = family_spec(family)
-    if not row_mats:
-        return np.asarray(seeds)
-    rows = []
-    for u in np.asarray(seeds):
-        rows.append(u)
-        rows.extend(m @ u for m in row_mats)
-    return np.array(rows)
+def plane_sampler(family: PlaneFamily):
+    """A `seed or rng -> frame` closure over the family's planes; the
+    structure matrices are built once."""
+    count, gs_mats, row_mats = family_spec(family)
+    n = family.ambient
+
+    def draw(seed) -> np.ndarray:
+        rows = _gaussian_rows(as_rng(seed), count, n)
+        return _expand(orthonormal_rows(rows, count, gs_mats), row_mats)
+
+    return draw
 
 
 def sample_plane(family: PlaneFamily, seed) -> np.ndarray:
     """Draw one frame (rows are orthonormal vectors spanning the plane)."""
-    rng = as_rng(seed)
-    count, gs_mats, _ = family_spec(family)
-    seeds = _structured_frame(rng.normal(size=(count, family.ambient)), gs_mats, rng=rng)
-    return frame_from_seeds(family, seeds)
+    return plane_sampler(family)(seed)
 
 
 def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:
@@ -432,12 +442,8 @@ def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:
         return float(max(res, np.abs(f @ i_mat @ f.T).max()))
     trip = quaternion_triple(family.ambient // 4)
     if tag in ("hp", "hlag"):
-        seeds = f[:1] if tag == "hp" else f
-        rows = [s for s in seeds]
-        for m in (trip.i, trip.j, trip.k):
-            rows.extend(m @ s for s in seeds)
-        g = np.array(rows)
-        return float(max(res, np.abs(g @ g.T - np.eye(len(rows))).max()))
+        g = _expand(f[:1] if tag == "hp" else f, [trip.i, trip.j, trip.k])
+        return float(max(res, np.abs(g @ g.T - np.eye(len(g))).max()))
     if tag == "gl_ijk":
         p = f.T @ f
         res = max(res, np.abs(p @ trip.i - trip.i @ p).max())
@@ -451,84 +457,52 @@ def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:
 # group element samplers
 # ----------------------------------------------------------------------
 
-def _orthogonal_sample(n: int, rng) -> np.ndarray:
-    g = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+def group_sampler(group: Group, direction: str | None = None):
+    """A `seed or rng -> g` closure over the group; the structures and the
+    reference frame are built once.  `on` takes the Q factor of a Gaussian
+    matrix; the others map the reference frame adapted to their structures
+    onto a random one, g = F_random^T F_reference, so g commutes with them.
 
-
-def _adapted_frame_map(new_seeds: np.ndarray, ref_seeds: np.ndarray,
-                       mats: list[np.ndarray]) -> np.ndarray:
-    """Orthogonal map sending the reference adapted frame to the new one.
-
-    Both seed sets must be structured frames for the same matrix list; the
-    result commutes with every matrix in `mats` by construction.
+    `direction` names a quaternionic structure, "i", "j" or "k": on `un` it
+    is the one g commutes with, in place of the standard complex structure;
+    on `spn_s1` the circle factor rotates in its plane ("i" when None).
     """
-    n = new_seeds.shape[1]
-    g = np.zeros((n, n))
-    for u, f in zip(new_seeds, ref_seeds):
-        g += np.outer(u, f)
-        for m in mats:
-            g += np.outer(m @ u, m @ f)
-    return g
+    n, kind = group.dim, group.kind
+    if kind == "on":
+        def draw_on(seed) -> np.ndarray:
+            q, r = np.linalg.qr(as_rng(seed).normal(size=(n, n)))
+            return q * np.sign(np.diag(r))
 
-
-def _reference_seeds(n: int, mats: list[np.ndarray]) -> np.ndarray:
-    """Deterministic structured seed frame built from the standard basis."""
+        return draw_on
+    if kind == "un" and direction is None:
+        mats = [complex_structure(n)]
+    else:
+        trip = quaternion_triple(n // 4)
+        named = {"i": trip.i, "j": trip.j, "k": trip.k}
+        mats = [named[direction]] if kind == "un" else [trip.i, trip.j, trip.k]
     count = n // (1 + len(mats))
-    rows: list[np.ndarray] = []
-    seeds = []
-    idx = 0
-    while len(seeds) < count:
-        if idx >= n:
-            raise ValueError("could not build reference frame")
-        u = _orthonormal_against(np.eye(n)[idx], rows)
-        idx += 1
-        if u is None:
-            continue
-        seeds.append(u)
-        rows.append(u)
-        rows.extend(m @ u for m in mats)
-    return np.array(seeds)
+    reference = _expand(orthonormal_rows(np.eye(n), count, mats), mats)
+
+    def draw(seed) -> np.ndarray:
+        rng = as_rng(seed)
+        seeds = orthonormal_rows(_gaussian_rows(rng, count, n), count, mats)
+        g = _expand(seeds, mats).T @ reference
+        if kind == "spn_sp1":
+            q = rng.normal(size=4)
+            return g @ right_scalar(trip, q / np.linalg.norm(q))
+        if kind == "spn_s1":
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            circle = named[direction or "i"]
+            return g @ (np.cos(theta) * np.eye(n) + np.sin(theta) * circle)
+        return g
+
+    return draw
 
 
 def sample_group_element(group: Group, seed, direction: str | None = None) -> np.ndarray:
-    """Draw an orthogonal matrix from the given compact group.
-
-    For `spn_s1` the circle factor rotates in the plane of the structure
-    named by `direction` ("i" default, "j" or "k" for the permuted copies).
-    """
-    rng = as_rng(seed)
-    n = group.dim
-    if group.kind == "on":
-        return _orthogonal_sample(n, rng)
-    if group.kind == "un":
-        i_mat = complex_structure(n)
-        mats = [i_mat]
-        seeds = _structured_frame(rng.normal(size=(n // 2, n)), mats, rng=rng)
-        return _adapted_frame_map(seeds, _reference_seeds(n, mats), mats)
-    trip = quaternion_triple(n // 4)
-    mats = [trip.i, trip.j, trip.k]
-    seeds = _structured_frame(rng.normal(size=(n // 4, n)), mats, rng=rng)
-    g = _adapted_frame_map(seeds, _reference_seeds(n, mats), mats)
-    if group.kind == "spn":
-        return g
-    if group.kind == "spn_sp1":
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        return g @ right_scalar(trip, q)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    struct = {"i": trip.i, "j": trip.j, "k": trip.k, None: trip.i}[direction]
-    return g @ (np.cos(theta) * np.eye(n) + np.sin(theta) * struct)
-
-
-def unitary_sample_for_structure(i_mat: np.ndarray, seed) -> np.ndarray:
-    """Orthogonal matrix commuting with an arbitrary complex structure."""
-    rng = as_rng(seed)
-    n = i_mat.shape[0]
-    mats = [i_mat]
-    seeds = _structured_frame(rng.normal(size=(n // 2, n)), mats, rng=rng)
-    return _adapted_frame_map(seeds, _reference_seeds(n, mats), mats)
+    """Draw an orthogonal matrix from the given compact group; `direction`
+    is as in `group_sampler`."""
+    return group_sampler(group, direction)(seed)
 
 
 # ----------------------------------------------------------------------

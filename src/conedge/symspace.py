@@ -41,16 +41,29 @@ def sym_matrix(entries, rtol: float = SYM_RTOL) -> np.ndarray:
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    return sym_stack(a[None], rtol)[0].copy()
+
+
+def sym_stack(entries, rtol: float = SYM_RTOL) -> np.ndarray:
+    """sym_matrix on each matrix of an (m, n, n) stack, each judged on its
+    own scale.  An exactly symmetric stack is returned as it is, without a
+    copy; otherwise the symmetrized copy."""
+    a = np.asarray(entries, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    n = a.shape[1]
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
-    skew = np.abs(a - a.T).max() if a.size else 0.0
-    if skew > rtol * scale:
-        raise ValueError(f"input is not symmetric (asymmetry {skew:.3e})")
-    return 0.5 * (a + a.T)
+    at = a.transpose(0, 2, 1)
+    if np.array_equal(a, at):
+        return a
+    m = a.shape[0]
+    skew = np.abs(a - at).reshape(m, -1).max(axis=1)
+    if np.any(skew > rtol * (1.0 + np.abs(a).reshape(m, -1).max(axis=1))):
+        raise ValueError(f"input is not symmetric (asymmetry {skew.max():.3e})")
+    return 0.5 * (a + at)
 
 
 def _check_same_n(a: np.ndarray, b: np.ndarray) -> None:

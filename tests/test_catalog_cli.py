@@ -218,6 +218,33 @@ class TestCli:
         assert code == 0
         assert "h=0.5" in capsys.readouterr().out
 
+    def test_config_values_take_flag_types(self, tmp_path, capsys):
+        # options whose default is None get the flag's type from the config
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("tol = 1e-9\n")
+        code = run_cli(["solve", "--cone", "laplace", "--n", "2", "--h", "0.5",
+                        "--config", str(cfg), "--out", str(tmp_path / "g.csv")])
+        assert code == 0
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("n = 4\n")
+        code = run_cli(["check-cone", "--name", "P_C", "--config", str(cfg),
+                        "--dry-run"])
+        assert code == 0
+        assert "at n=4" in capsys.readouterr().out
+
+    def test_config_values_take_flag_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ordering = sideways\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--cone", "laplace", "--config", str(cfg), "--dry-run"])
+        assert exc.value.code == 2
+
+    def test_config_switch_off_overrides_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dry-run = false\n")
+        assert run_cli(["catalog", "--dry-run", "--config", str(cfg)]) == 0
+        assert "laplace" in capsys.readouterr().out  # the listing, not the dry run
+
     def test_deterministic_outputs(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

@@ -140,6 +140,36 @@ class TestMarginInputChecks:
             cone.margin(a)
 
 
+class TestMarginBatchInputChecks:
+    """margin_batch checks every matrix of its stack as margin does."""
+
+    CONES = {
+        "edge": lambda: cat.build_cone("P", 2),
+        "halfspace": lambda: cn.HalfspaceCone(np.eye(2)),
+        "geometric": lambda: cn.GeometricCone(st.PlaneFamily("grass", 2, 1), budget=20),
+    }
+
+    @pytest.fixture(params=sorted(CONES))
+    def cone(self, request):
+        return self.CONES[request.param]()
+
+    def test_nan_entry(self, cone):
+        a = np.eye(2)
+        a[0, 1] = np.nan  # one triangle only: eigvalsh alone would not see it
+        with pytest.raises(ValueError, match=r"^margin_batch: matrix a rejected: .*finite"):
+            cone.margin_batch(np.array([np.eye(2), a]))
+
+    def test_asymmetric(self, cone):
+        a = np.eye(2)
+        a[0, 1] = 0.5
+        with pytest.raises(ValueError, match=r"^margin_batch: matrix a rejected: .*not symmetric"):
+            cone.margin_batch(np.array([np.eye(2), a]))
+
+    def test_wrong_size(self, cone):
+        with pytest.raises(ValueError, match=r"^margin_batch: matrix a is 3x3, cone ambient 2"):
+            cone.margin_batch(np.array([np.eye(3)]))
+
+
 class TestOptimizerAgainstClosedForms:
     @pytest.mark.parametrize("name,n", [("P_C", 4), ("P_LAG", 4), ("P_H", 4),
                                         ("GL_IJK", 8), ("laplace", 3)])
@@ -257,6 +287,14 @@ class TestSupport:
         assert abs(abs(rep.killed[0, 1]) - 1.0) <= 1e-3
         assert rep.zero_extension_failures == 0
         assert rep.zero_extension_checked > 0
+
+    def test_two_deflations(self):
+        # only e1 carries the normal: e2 and e3 are killed one after another
+        rep = cn.support_of(cn.HalfspaceCone(np.diag([1.0, 0.0, 0.0])))
+        assert rep.killed.shape == (2, 3)
+        assert rep.support.shape == (1, 3)
+        assert abs(abs(rep.support[0, 0]) - 1.0) <= 1e-3
+        assert np.abs(rep.killed[:, 0]).max() <= 1e-3
 
     def test_psd_cone_full_support(self):
         rep = cn.support_of(cat.build_cone("P", 3))

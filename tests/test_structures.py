@@ -220,6 +220,19 @@ class TestPlaneSamplers:
             st.PlaneFamily("grass", 3, 0)
 
 
+class TestOrthonormalRows:
+    def test_skips_candidates_in_the_span_of_images(self):
+        i4 = st.complex_structure(4)
+        e = np.eye(4)
+        # I e0 = e1, so e1 and 2 e0 + e1 are degenerate after e0
+        rows = st.orthonormal_rows([e[0], e[1], 2 * e[0] + e[1], e[2]], 2, [i4])
+        assert np.array_equal(rows, e[[0, 2]])
+
+    def test_runs_out_of_candidates(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            st.orthonormal_rows(np.eye(4)[:2], 2, [st.complex_structure(4)])
+
+
 class TestGroupSamplers:
     def test_orthogonality(self):
         for g in GROUPS + [st.Group("spn", 8)]:
