@@ -2,13 +2,15 @@
 
 Each entry names a minimal cone by its invariance group, the component
 names of its edge, and a default ambient dimension.  A cone is fixed by
-its edge, so the closed-form margins are chosen by the edge's component
-set, never by the entry's name: any entry whose edge has a closed form
-gets it.  Each closed form is one batch kernel over a stack of matrices
-(a single margin is the batch of one) and agrees exactly with the
-translate-optimizer margin (both compute the same pairing minimum over
-the polar base); the agreement is part of the test suite, so neither
-route may be removed.
+its edge, so the closed-form margins are chosen by the edge, never by the
+entry's name: `closed_form_for` matches the components that survive at
+the ambient dimension (some vanish in low dimension, e.g. h_sym0 at one
+quaternionic dimension), so any entry or classification edge equal to an
+edge with a closed form gets it.  Each closed form is one batch kernel
+over a stack of matrices (a single margin is the batch of one) and
+agrees exactly with the translate-optimizer margin (both compute the
+same pairing minimum over the polar base); the agreement is part of the
+test suite, so neither route may be removed.
 
 The catalog file format is a small INI-like key-value text:
 
@@ -67,8 +69,11 @@ def catalog_names() -> list[str]:
     return [s.name for s in DEFAULT_SPECS]
 
 
-def edge_from_components(group: st.Group, components) -> SymSubspace:
-    comps = st.irreducible_components(group)
+def edge_from_components(group: st.Group, components, comps=None) -> SymSubspace:
+    """Direct sum of the named components; `comps` is the group's
+    `irreducible_components`, computed here when not given."""
+    if comps is None:
+        comps = st.irreducible_components(group)
     parts = []
     for name in components:
         if name not in comps:
@@ -106,10 +111,11 @@ def _quaternionic(n):
     return lambda a: np.linalg.eigvalsh(st.quat_sym_part(a, trip))[..., 0]
 
 
-def _lagrangian(n):
-    """Minimum of tr(A|_W)/k over lagrangian planes: the sum of the k
-    smallest eigenvalues of the span part of A, divided by k."""
-    i_mat = st.complex_structure(n)
+def _lagrangian(i_mat):
+    """Minimum of tr(A|_W)/k over the planes W lagrangian for the complex
+    structure i_mat: the sum of the k smallest eigenvalues of the span part
+    of A, divided by k; equal to (tr A - nuclear norm of (A + IAI)/2) / n."""
+    n = i_mat.shape[0]
     k = n // 2
 
     def kernel(a):
@@ -132,17 +138,42 @@ def _gl_ijk(n):
     return kernel
 
 
-# keyed on the edge's component names; the empty edge is the PSD cone in
-# every group, and the traceless edge makes the margin linear, <A, Id/n>
+# keyed on edge component names, matched on the components that survive at
+# the ambient dimension.  The traceless edge makes the margin linear,
+# <A, Id/n>; it comes before the empty (PSD) edge so that in dimension 1,
+# where both edges are zero, the cone keeps its linear weight.
+# h_sym0 + e_i is everything traceless that commutes with the quaternionic
+# I, so its cone is the lagrangian cone of I.
 _TRACE_EDGE = frozenset({"sym0"})
 _CLOSED_FORMS = {
-    frozenset(): _psd,
     _TRACE_EDGE: _trace,
+    frozenset(): _psd,
     frozenset({"c_skew"}): _hermitian,
-    frozenset({"c_sym0"}): _lagrangian,
+    frozenset({"c_sym0"}): lambda n: _lagrangian(st.complex_structure(n)),
+    frozenset({"h_sym0", "e_i"}):
+        lambda n: _lagrangian(st.quaternion_triple(n // 4).i),
     frozenset({"h_skew3"}): _quaternionic,
     frozenset({"h_sym0", "e_j", "e_k"}): _gl_ijk,
 }
+
+
+def closed_form_for(group: st.Group, components, comps):
+    """(kernel, linear weight) of the closed form for the edge spanned by
+    `components` of `group`, or (None, None) when none is known.
+
+    `comps` is the group's `irreducible_components`.  A table key matches
+    when it names components of this group and the same components survive
+    (have positive dimension at this ambient size) in both, so two names
+    for one edge get one closed form."""
+    def surviving(names):
+        return frozenset(c for c in names if comps[c].dim > 0)
+
+    n = group.dim
+    edge = surviving(components)
+    for key, factory in _CLOSED_FORMS.items():
+        if key <= comps.keys() and surviving(key) == edge:
+            return factory(n), np.eye(n) / n if key == _TRACE_EDGE else None
+    return None, None
 
 
 def group_for(spec: CatalogSpec, n_real: int) -> st.Group:
@@ -159,12 +190,10 @@ def build_cone(name: str, n: int | None = None, *, check: bool = False,
     spec = find_spec(name, specs)
     n_real = n or spec.default_n
     group = group_for(spec, n_real)
-    edge = edge_from_components(group, spec.components)
-    key = frozenset(spec.components)
-    factory = _CLOSED_FORMS.get(key)
-    lin_w = np.eye(n_real) / n_real if key == _TRACE_EDGE else None
-    return EdgeCone(edge, check=check, name=spec.name,
-                    fast_margin=factory(n_real) if factory else None,
+    comps = st.irreducible_components(group)
+    edge = edge_from_components(group, spec.components, comps)
+    kernel, lin_w = closed_form_for(group, spec.components, comps)
+    return EdgeCone(edge, check=check, name=spec.name, fast_margin=kernel,
                     linear_margin_weight=lin_w)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import structures as st
+from .catalog import closed_form_for
 from .cones import EdgeCone, is_basic_edge
 from .symspace import (
     SymSubspace,
@@ -131,9 +132,12 @@ def enumerate_basic_edges(group: st.Group, *, build_cones: bool = True,
                     f"subset {subset} of {group.kind} failed the basic-edge "
                     f"check (edge max {rep.edge_side_max})")
             larger, label, new = routes[subset]
-            cone = EdgeCone(edge, check=False,
-                            name=f"{group.kind}:{'+'.join(subset) or 'zero'}") \
-                if build_cones else None
+            cone = None
+            if build_cones:
+                kernel, lin_w = closed_form_for(group, subset, comps)
+                cone = EdgeCone(edge, check=False, fast_margin=kernel,
+                                linear_margin_weight=lin_w,
+                                name=f"{group.kind}:{'+'.join(subset) or 'zero'}")
             entries.append(CatalogEntry(group, subset, edge, cone, larger,
                                         label, new, rep, degenerate))
     return entries

@@ -14,11 +14,14 @@ determinant-type operator values built from grouped eigenvalues.
 
 Every sampler rests on one structured frame builder, `orthonormal_rows`:
 vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
-`plane_sampler` and `group_sampler` build their structures once.
+`plane_sampler` and `group_sampler` build their structures once and are
+cached per (frozen) family or group, so `sample_plane` and
+`sample_group_element` reuse them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,9 +411,11 @@ def family_spec(family: PlaneFamily):
     raise ValueError(f"unhandled family {tag!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def plane_sampler(family: PlaneFamily):
     """A `seed or rng -> frame` closure over the family's planes; the
-    structure matrices are built once."""
+    structure matrices are built once, and the closure is cached per
+    family."""
     count, gs_mats, row_mats = family_spec(family)
     n = family.ambient
 
@@ -457,11 +462,13 @@ def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:
 # group element samplers
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def group_sampler(group: Group, direction: str | None = None):
     """A `seed or rng -> g` closure over the group; the structures and the
-    reference frame are built once.  `on` takes the Q factor of a Gaussian
-    matrix; the others map the reference frame adapted to their structures
-    onto a random one, g = F_random^T F_reference, so g commutes with them.
+    reference frame are built once, and the closure is cached per group
+    and direction.  `on` takes the Q factor of a Gaussian matrix; the
+    others map the reference frame adapted to their structures onto a
+    random one, g = F_random^T F_reference, so g commutes with them.
 
     `direction` names a quaternionic structure, "i", "j" or "k": on `un` it
     is the one g commutes with, in place of the standard complex structure;

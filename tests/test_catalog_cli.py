@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from conedge import catalog as cat
+from conedge import classify as cl
 from conedge import cli
 from conedge import dirichlet as dh
+from conedge import structures as st
 from conedge import symspace as ss
 
 
@@ -73,7 +76,13 @@ edge = sym0
 group = spn_s1
 n = 8
 edge = e_k,h_sym0,e_j
+
+[lag_i]
+group = spn_s1
+n = 8
+edge = h_sym0,e_i
 """
+    SPECS = cat.parse_catalog(TEXT) + list(cat.DEFAULT_SPECS)
 
     @pytest.mark.parametrize("name, reference, n", [
         ("my_pc", "P_C", 4), ("gl_permuted", "GL_IJK", 8)])
@@ -93,6 +102,115 @@ edge = e_k,h_sym0,e_j
         _, info = dh.perron_solve(cone, dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
                                   ordering="redblack", tol=1e-10)
         assert info.converged and info.omega > 1.0
+
+    def test_zero_edge_gets_psd_kernel(self, rng):
+        # h_sym0 vanishes at one quaternionic dimension: P_HSYM(4)'s edge is 0
+        cone = cat.build_cone("P_HSYM", 4)
+        assert cone.edge.dim == 0 and cone.linear_margin_weight is None
+        stack = np.array([ss.random_symmetric(4, rng) for _ in range(20)])
+        assert np.array_equal(cone.margin_batch(stack),
+                              np.linalg.eigvalsh(stack)[:, 0])
+
+    @pytest.mark.parametrize("name, n", [("P_EI", 4), ("lag_i", 8)])
+    def test_i_lagrangian_kernel(self, name, n, rng):
+        # (tr A - nuclear norm of (A + IAI)/2) / n, I the quaternionic i
+        cone = cat.build_cone(name, n, specs=self.SPECS)
+        i_mat = st.quaternion_triple(n // 4).i
+        for _ in range(20):
+            a = ss.random_symmetric(n, rng)
+            skew = np.linalg.eigvalsh(st.complex_skew_part(a, i_mat))
+            expect = (np.trace(a) - np.abs(skew).sum()) / n
+            assert abs(cone.margin(a) - expect) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["P_EI", "P_HSYM"])
+    def test_surviving_h_sym0_keeps_optimizer(self, name):
+        assert cat.build_cone(name, 8)._fast_margin is None
+
+    @pytest.mark.parametrize("name, n", [("P_EI", 4), ("P_HSYM", 4), ("lag_i", 8)])
+    def test_new_closed_forms_match_optimizer(self, name, n, rng):
+        cone = cat.build_cone(name, n, specs=self.SPECS)
+        assert cone._fast_margin is not None
+        for _ in range(5):
+            a = ss.random_symmetric(n, rng)
+            m_opt, *_ = cone.optimizer_margin(a)
+            assert abs(m_opt - cone.margin(a)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_h_sym0_e_i_edge_is_i_lagrangian(self, n):
+        group = st.Group("spn_s1", n)
+        edge = cat.edge_from_components(group, ("h_sym0", "e_i"))
+        i_mat = st.quaternion_triple(n // 4).i
+        commuting = [st.complex_sym_part(b, i_mat) for b in ss.standard_basis(n)]
+        gens = [c - np.trace(c) / n * np.eye(n) for c in commuting]
+        assert ss.subspace_equal(edge, ss.orthonormalize(gens, ambient_n=n))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_classification_cones_share_kernels(self, n, rng):
+        entries = cl.enumerate_basic_edges(st.Group("spn_s1", n))
+        stack = np.array([ss.random_symmetric(n, rng) for _ in range(10)])
+        for entry in entries:
+            spec = cat.CatalogSpec("entry", "spn_s1", entry.components, n)
+            ref = cat.build_cone("entry", specs=[spec])
+            assert (entry.cone._fast_margin is None) == (ref._fast_margin is None)
+            assert (entry.cone.linear_margin_weight is None) \
+                == (ref.linear_margin_weight is None)
+            if ref._fast_margin is not None:
+                assert np.array_equal(entry.cone.margin_batch(stack),
+                                      ref.margin_batch(stack))
+        with_kernel = {e.components for e in entries if e.cone._fast_margin}
+        assert {(), ("h_sym0", "e_i"), ("h_sym0", "e_j", "e_k")} <= with_kernel
+
+
+# every closed-form kernel with the group its margin is invariant under;
+# P_HSYM(4) and P_EI(4) get theirs from the surviving-component dispatch
+KERNEL_CONES = [("P", 3), ("laplace", 3), ("P_C", 4), ("P_LAG", 4), ("P_H", 8),
+                ("GL_IJK", 8), ("P_HSYM", 4), ("P_EI", 4), ("lag_i", 8)]
+KERNEL_SPECS = TestClosedFormDispatch.SPECS
+
+
+def _kernel_cone(name, n):
+    cone = cat.build_cone(name, n, specs=KERNEL_SPECS)
+    assert cone._fast_margin is not None
+    return cone, cat.group_for(cat.find_spec(name, KERNEL_SPECS), n)
+
+
+SEEDS = hst.integers(min_value=0, max_value=2**32 - 1)
+SCALES = hst.floats(min_value=1e-3, max_value=1e3)
+
+
+@pytest.mark.parametrize("name, n", KERNEL_CONES)
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, scale=SCALES, shift=hst.floats(min_value=-1e3, max_value=1e3))
+def test_kernel_id_shift_slope_is_exact(name, n, seed, scale, shift):
+    cone, _ = _kernel_cone(name, n)
+    a = ss.random_symmetric(n, np.random.default_rng(seed), scale)
+    moved = cone.margin(a - shift * np.eye(n))
+    tol = 1e-12 * (1 + ss.frob_norm(a) + abs(shift)) * n
+    assert abs(moved - (cone.margin(a) - shift * cone.id_shift_slope)) <= tol
+
+
+@pytest.mark.parametrize("name, n", KERNEL_CONES)
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, scale=SCALES, rank=hst.integers(min_value=1, max_value=8))
+def test_kernel_adding_psd_never_lowers(name, n, seed, scale, rank):
+    cone, _ = _kernel_cone(name, n)
+    rng = np.random.default_rng(seed)
+    a = ss.random_symmetric(n, rng, scale)
+    b = rng.normal(size=(n, min(rank, n))) * scale
+    tol = 1e-12 * (1 + ss.frob_norm(a) + ss.frob_norm(b @ b.T)) * n
+    assert cone.margin(a + b @ b.T) >= cone.margin(a) - tol
+
+
+@pytest.mark.parametrize("name, n", KERNEL_CONES)
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, scale=SCALES)
+def test_kernel_invariant_under_its_group(name, n, seed, scale):
+    cone, group = _kernel_cone(name, n)
+    rng = np.random.default_rng(seed)
+    a = ss.random_symmetric(n, rng, scale)
+    g = st.sample_group_element(group, rng)
+    tol = 1e-12 * (1 + ss.frob_norm(a)) * n
+    assert abs(cone.margin(g.T @ a @ g) - cone.margin(a)) <= tol
 
 
 def run_cli(args):
@@ -251,6 +369,16 @@ class TestCli:
         for path in (a, b):
             run_cli(["check-cone", "--name", "laplace", "--n", "2",
                      "--budget", "25", "--seed", "7", "--out", str(path)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_deterministic_solve(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        for path in (a, b):
+            run_cli(["solve", "--cone", "P_C", "--n", "2", "--domain", "disk",
+                     "--h", "0.25", "--phi", "trig", "--seed", "7",
+                     "--out", str(path)])
+        assert a.stat().st_size > 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_usage_error_exit_code(self):

@@ -140,6 +140,39 @@ class TestMarginInputChecks:
             cone.margin(a)
 
 
+class TestOptimizerInputChecks:
+    """The input checks above on a cone whose margin runs the translate
+    optimizer: P_EI(4) has a closed form (the lagrangian cone of I), while
+    at n = 8 the edge keeps its h_sym0 part and has none."""
+
+    OPS = ["contains", "dual_contains", "margin"]
+
+    @pytest.fixture(scope="class")
+    def cone(self):
+        cone = cat.build_cone("P_EI", 8)
+        assert cone._fast_margin is None
+        return cone
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_wrong_size(self, cone, op):
+        with pytest.raises(ValueError, match=rf"^{op}: matrix a is 4x4, cone ambient 8"):
+            getattr(cone, op)(np.eye(4))
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_nan_entry(self, cone, op):
+        a = np.eye(8)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match=rf"^{op}: matrix a rejected: .*finite"):
+            getattr(cone, op)(a)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_asymmetric(self, cone, op):
+        a = np.eye(8)
+        a[0, 1] = 0.5
+        with pytest.raises(ValueError, match=rf"^{op}: matrix a rejected: .*not symmetric"):
+            getattr(cone, op)(a)
+
+
 class TestMarginBatchInputChecks:
     """margin_batch checks every matrix of its stack as margin does."""
 

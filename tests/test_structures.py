@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,48 @@ class TestGroupSamplers:
             bj = st.group_project(g, "e_j", a)
             conj = m.T @ bj @ m
             assert ss.residual_norm(jk, conj) <= 1e-8
+
+
+class TestSamplerCache:
+    """plane_sampler and group_sampler are cached per family or group; a
+    cached sampler draws exactly what a freshly built one draws."""
+
+    GROUP_CASES = [("on", 5, None), ("un", 6, None), ("un", 8, "j"),
+                   ("spn", 8, None), ("spn_sp1", 8, None), ("spn_s1", 8, None),
+                   ("spn_s1", 8, "k")]
+    # sha256 of the draws at seeds 0..4 below, as the uncached builders
+    # gave them
+    PLANES_SHA = "4ff9bf74e3e530739894a568cebefb07b2f9c93df3c5ad9a0474ffcc1998551f"
+    GROUPS_SHA = "d3349aeef39e46965447df71da2e82219b159e509e379eb9595d31037f100fbb"
+
+    def test_samplers_are_cached(self):
+        fam = st.PlaneFamily("gl_ijk", 8)
+        assert st.plane_sampler(fam) is st.plane_sampler(st.PlaneFamily("gl_ijk", 8))
+        g = st.Group("spn_s1", 8)
+        assert st.group_sampler(g, "j") is st.group_sampler(st.Group("spn_s1", 8), "j")
+        assert st.group_sampler(g, "j") is not st.group_sampler(g, "k")
+
+    def test_plane_draws_are_unchanged(self):
+        digest = hashlib.sha256()
+        for tag in st.PLANE_TAGS:
+            fam = st.PlaneFamily(tag, 8, 3 if tag == "grass" else None)
+            fresh = st.plane_sampler.__wrapped__(fam)
+            for seed in range(5):
+                frame = st.sample_plane(fam, seed)
+                assert np.array_equal(frame, fresh(seed)), tag
+                digest.update(frame.tobytes())
+        assert digest.hexdigest() == self.PLANES_SHA
+
+    def test_group_draws_are_unchanged(self):
+        digest = hashlib.sha256()
+        for kind, n, direction in self.GROUP_CASES:
+            group = st.Group(kind, n)
+            fresh = st.group_sampler.__wrapped__(group, direction)
+            for seed in range(5):
+                g = st.sample_group_element(group, seed, direction)
+                assert np.array_equal(g, fresh(seed)), (kind, direction)
+                digest.update(g.tobytes())
+        assert digest.hexdigest() == self.GROUPS_SHA
 
 
 class TestCanonicalForm:
