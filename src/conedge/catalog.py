@@ -3,14 +3,16 @@
 Each entry names a minimal cone by its invariance group, the component
 names of its edge, and a default ambient dimension.  A cone is fixed by
 its edge, so the closed-form margins are chosen by the edge, never by the
-entry's name: `closed_form_for` matches the components that survive at
-the ambient dimension (some vanish in low dimension, e.g. h_sym0 at one
-quaternionic dimension), so any entry or classification edge equal to an
-edge with a closed form gets it.  Each closed form is one batch kernel
-over a stack of matrices (a single margin is the batch of one) and
-agrees exactly with the translate-optimizer margin (both compute the
-same pairing minimum over the polar base); the agreement is part of the
-test suite, so neither route may be removed.
+entry's name.  `FAMILIES` is the one table of edge families: per group and
+component subset, the named family and its closed form, a kernel built on
+a structure label ("c", "i", "j", "k").  `closed_form_for` matches the
+components that survive at the ambient dimension (some vanish in low
+dimension, e.g. h_sym0 at one quaternionic dimension), so any entry or
+classification edge equal to an edge with a closed form gets it.  Each
+closed form is one batch kernel over a stack of matrices (a single margin
+is the batch of one) and agrees exactly with the translate-optimizer
+margin (both compute the same pairing minimum over the polar base); the
+agreement is part of the test suite, so neither route may be removed.
 
 The catalog file format is a small INI-like key-value text:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,9 +104,12 @@ def _trace(n):
     return lambda a: np.trace(a, axis1=-2, axis2=-1) / n
 
 
-def _hermitian(n):
-    i_mat = st.complex_structure(n)
-    return lambda a: np.linalg.eigvalsh(st.complex_sym_part(a, i_mat))[..., 0]
+def _hermitian(label):
+    def factory(n):
+        i_mat = st.structure(n, label)
+        return lambda a: np.linalg.eigvalsh(st.complex_sym_part(a, i_mat))[..., 0]
+
+    return factory
 
 
 def _quaternionic(n):
@@ -111,68 +117,112 @@ def _quaternionic(n):
     return lambda a: np.linalg.eigvalsh(st.quat_sym_part(a, trip))[..., 0]
 
 
-def _lagrangian(i_mat):
-    """Minimum of tr(A|_W)/k over the planes W lagrangian for the complex
-    structure i_mat: the sum of the k smallest eigenvalues of the span part
-    of A, divided by k; equal to (tr A - nuclear norm of (A + IAI)/2) / n."""
-    n = i_mat.shape[0]
-    k = n // 2
+def _lagrangian(label):
+    """Minimum of tr(A|_W)/k over the planes W lagrangian for the structure
+    I named by `label`: the sum of the k smallest eigenvalues of the span
+    part of A, divided by k; equal to (tr A - nuclear norm of (A + IAI)/2) / n."""
+    def factory(n):
+        i_mat = st.structure(n, label)
+        k = n // 2
 
-    def kernel(a):
-        tr = np.trace(a, axis1=-2, axis2=-1) / n
-        span = st.complex_skew_part(a, i_mat) + tr[:, None, None] * np.eye(n)
-        return np.linalg.eigvalsh(span)[:, :k].sum(axis=1) / k
+        def kernel(a):
+            tr = np.trace(a, axis1=-2, axis2=-1) / n
+            span = st.complex_skew_part(a, i_mat) + tr[:, None, None] * np.eye(n)
+            return np.linalg.eigvalsh(span)[:, :k].sum(axis=1) / k
 
-    return kernel
+        return kernel
 
-
-def _gl_ijk(n):
-    """Minimum of tr(A|_W)/(2n) over I-complex, J/K-lagrangian planes:
-    (tr A - nuclear norm of the I-aligned part) / N."""
-    trip = st.quaternion_triple(n // 4)
-
-    def kernel(a):
-        lam = np.linalg.eigvalsh(st.e_structure_part(a, trip, "i"))
-        return (np.trace(a, axis1=-2, axis2=-1) - np.abs(lam).sum(axis=1)) / n
-
-    return kernel
+    return factory
 
 
-# keyed on edge component names, matched on the components that survive at
-# the ambient dimension.  The traceless edge makes the margin linear,
-# <A, Id/n>; it comes before the empty (PSD) edge so that in dimension 1,
-# where both edges are zero, the cone keeps its linear weight.
-# h_sym0 + e_i is everything traceless that commutes with the quaternionic
-# I, so its cone is the lagrangian cone of I.
-_TRACE_EDGE = frozenset({"sym0"})
-_CLOSED_FORMS = {
-    _TRACE_EDGE: _trace,
-    frozenset(): _psd,
-    frozenset({"c_skew"}): _hermitian,
-    frozenset({"c_sym0"}): lambda n: _lagrangian(st.complex_structure(n)),
-    frozenset({"h_sym0", "e_i"}):
-        lambda n: _lagrangian(st.quaternion_triple(n // 4).i),
-    frozenset({"h_skew3"}): _quaternionic,
-    frozenset({"h_sym0", "e_j", "e_k"}): _gl_ijk,
+def _gl_ijk(label):
+    """Minimum of tr(A|_W)/(2n) over planes complex for the structure named
+    by `label`, lagrangian for the other two: (tr A - nuclear norm of the
+    `label`-aligned part) / N."""
+    def factory(n):
+        trip = st.quaternion_triple(n // 4)
+
+        def kernel(a):
+            lam = np.linalg.eigvalsh(st.e_structure_part(a, trip, label))
+            return (np.trace(a, axis1=-2, axis2=-1) - np.abs(lam).sum(axis=1)) / n
+
+        return kernel
+
+    return factory
+
+
+@dataclass(frozen=True)
+class EdgeFamily:
+    """The named family an invariant edge belongs to."""
+
+    label: str                   # e.g. "P_C[k]": P_C for the structure K
+    larger: tuple                # sampler key of a containing group
+    new: bool                    # genuinely circle-extended (spn_s1 only)
+    kernel: Callable | None      # closed-form factory n -> stack kernel
+
+
+# FAMILIES[kind][component subset]: every subset of a group's non-identity
+# components is a basic edge.  `closed_form_for` takes the first row with a
+# kernel whose surviving components match, so where two rows name one edge
+# in low dimension the order decides: on lists the traceless edge first (in
+# dimension 1 both edges are zero, and the cone keeps its linear weight),
+# spn_s1 lists GL_IJK before P_C (GL_IJK(4) keeps its own kernel).
+FAMILIES = {
+    "on": {
+        ("sym0",): EdgeFamily("laplace", ("on",), False, _trace),
+        (): EdgeFamily("P", ("on",), False, _psd),
+    },
+    "un": {
+        (): EdgeFamily("P", ("on",), False, _psd),
+        ("c_sym0",): EdgeFamily("P_LAG", ("un", "std"), False, _lagrangian("c")),
+        ("c_skew",): EdgeFamily("P_C", ("un", "std"), False, _hermitian("c")),
+        ("c_sym0", "c_skew"): EdgeFamily("laplace", ("on",), False, _trace),
+    },
+    "spn_sp1": {
+        (): EdgeFamily("P", ("on",), False, _psd),
+        ("h_sym0",): EdgeFamily("P_HSYM", ("spn_sp1",), False, None),
+        ("h_skew3",): EdgeFamily("P_H", ("spn_sp1",), False, _quaternionic),
+        ("h_sym0", "h_skew3"): EdgeFamily("laplace", ("on",), False, _trace),
+    },
+    "spn_s1": {
+        (): EdgeFamily("P", ("on",), False, _psd),
+        ("h_sym0",): EdgeFamily("P_HSYM", ("spn_sp1",), False, None),
+        ("e_i",): EdgeFamily("P_EI[i]", ("spn_s1", "i"), True, None),
+        ("e_j",): EdgeFamily("P_EI[j]", ("spn_s1", "j"), True, None),
+        ("e_k",): EdgeFamily("P_EI[k]", ("spn_s1", "k"), True, None),
+        ("h_sym0", "e_i"): EdgeFamily("P_LAG[i]", ("un", "i"), False, _lagrangian("i")),
+        ("h_sym0", "e_j"): EdgeFamily("P_LAG[j]", ("un", "j"), False, _lagrangian("j")),
+        ("h_sym0", "e_k"): EdgeFamily("P_LAG[k]", ("un", "k"), False, _lagrangian("k")),
+        ("h_sym0", "e_i", "e_j"): EdgeFamily("GL_IJK[k]", ("spn_s1", "k"), True, _gl_ijk("k")),
+        ("h_sym0", "e_i", "e_k"): EdgeFamily("GL_IJK[j]", ("spn_s1", "j"), True, _gl_ijk("j")),
+        ("h_sym0", "e_j", "e_k"): EdgeFamily("GL_IJK[i]", ("spn_s1", "i"), True, _gl_ijk("i")),
+        ("e_i", "e_j"): EdgeFamily("P_C[k]", ("un", "k"), False, _hermitian("k")),
+        ("e_i", "e_k"): EdgeFamily("P_C[j]", ("un", "j"), False, _hermitian("j")),
+        ("e_j", "e_k"): EdgeFamily("P_C[i]", ("un", "i"), False, _hermitian("i")),
+        ("e_i", "e_j", "e_k"): EdgeFamily("P_H", ("spn_sp1",), False, _quaternionic),
+        ("h_sym0", "e_i", "e_j", "e_k"): EdgeFamily("laplace", ("on",), False, _trace),
+    },
 }
+FAMILIES["spn"] = FAMILIES["spn_s1"]  # same components
 
 
 def closed_form_for(group: st.Group, components, comps):
     """(kernel, linear weight) of the closed form for the edge spanned by
     `components` of `group`, or (None, None) when none is known.
 
-    `comps` is the group's `irreducible_components`.  A table key matches
-    when it names components of this group and the same components survive
-    (have positive dimension at this ambient size) in both, so two names
-    for one edge get one closed form."""
+    `comps` is the group's `irreducible_components`.  The first
+    `FAMILIES[group.kind]` row with a kernel matches when the same
+    components survive (have positive dimension at this ambient size) in
+    the row and in `components`, so two names for one edge get one closed
+    form.  The traceless edge's margin is linear, <A, Id/n>."""
     def surviving(names):
         return frozenset(c for c in names if comps[c].dim > 0)
 
     n = group.dim
     edge = surviving(components)
-    for key, factory in _CLOSED_FORMS.items():
-        if key <= comps.keys() and surviving(key) == edge:
-            return factory(n), np.eye(n) / n if key == _TRACE_EDGE else None
+    for subset, family in FAMILIES[group.kind].items():
+        if family.kernel is not None and surviving(subset) == edge:
+            return family.kernel(n), np.eye(n) / n if family.kernel is _trace else None
     return None, None
 
 
@@ -188,7 +238,7 @@ def build_cone(name: str, n: int | None = None, *, check: bool = False,
     edges are traceless, which already forces basicness).
     """
     spec = find_spec(name, specs)
-    n_real = n or spec.default_n
+    n_real = spec.default_n if n is None else n
     group = group_for(spec, n_real)
     comps = st.irreducible_components(group)
     edge = edge_from_components(group, spec.components, comps)

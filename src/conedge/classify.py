@@ -3,10 +3,12 @@
 For each of the four compact groups, every direct sum of non-identity
 irreducible components is a candidate edge; all of them are traceless and
 therefore basic, which the code verifies rather than assumes.  Each entry
-is routed to the smallest previously-known family that already contains
-it (a larger invariance group, verified by sampling), and the two entries
-whose invariance group is genuinely the circle-extended quaternionic one
-are verified to lose invariance under the full enhanced group.
+reads its named family from one row of `catalog.FAMILIES`: the label, the
+smallest previously-known family that already contains it (a larger
+invariance group, verified by sampling) and whether its invariance group
+is genuinely the circle-extended quaternionic one (verified to lose
+invariance under the full enhanced group).  Its cone gets the closed form
+`catalog.closed_form_for` picks, as a catalog cone with the same edge does.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import catalog as cat
 from . import structures as st
-from .catalog import closed_form_for
 from .cones import EdgeCone, is_basic_edge
 from .symspace import (
     SymSubspace,
@@ -47,8 +49,6 @@ class CatalogEntry:
     degenerate: bool = False           # some component collapsed to dim 0
 
 
-# sampler keys: ("on",), ("un", struct), ("spn_sp1",), ("spn_s1", struct)
-
 def element_sampler(key: tuple, n_real: int):
     """`seed or rng -> g` for a sampler key; "std" is the standard structure."""
     direction = key[1] if len(key) > 1 and key[1] != "std" else None
@@ -68,58 +68,12 @@ def sampler_label(key: tuple) -> str:
     return f"quaternionic-circle[{key[1]}]"
 
 
-# routing tables: component subset -> (designated larger sampler, label, new?)
-
-_SPN_ROUTES = {
-    (): (("on",), "P", False),
-    ("h_sym0",): (("spn_sp1",), "P_HSYM", False),
-    ("e_i",): (("spn_s1", "i"), "P_EI[i]", True),
-    ("e_j",): (("spn_s1", "j"), "P_EI[j]", True),
-    ("e_k",): (("spn_s1", "k"), "P_EI[k]", True),
-    ("e_i", "e_j"): (("un", "k"), "P_C[k]", False),
-    ("e_i", "e_k"): (("un", "j"), "P_C[j]", False),
-    ("e_j", "e_k"): (("un", "i"), "P_C[i]", False),
-    ("h_sym0", "e_i"): (("un", "i"), "P_LAG[i]", False),
-    ("h_sym0", "e_j"): (("un", "j"), "P_LAG[j]", False),
-    ("h_sym0", "e_k"): (("un", "k"), "P_LAG[k]", False),
-    ("e_i", "e_j", "e_k"): (("spn_sp1",), "P_H", False),
-    ("h_sym0", "e_i", "e_j"): (("spn_s1", "k"), "GL_IJK[k]", True),
-    ("h_sym0", "e_i", "e_k"): (("spn_s1", "j"), "GL_IJK[j]", True),
-    ("h_sym0", "e_j", "e_k"): (("spn_s1", "i"), "GL_IJK[i]", True),
-    ("h_sym0", "e_i", "e_j", "e_k"): (("on",), "laplace", False),
-}
-
-_UN_ROUTES = {
-    (): (("on",), "P", False),
-    ("c_sym0",): (("un", "std"), "P_LAG", False),
-    ("c_skew",): (("un", "std"), "P_C", False),
-    ("c_sym0", "c_skew"): (("on",), "laplace", False),
-}
-
-_SPNSP1_ROUTES = {
-    (): (("on",), "P", False),
-    ("h_sym0",): (("spn_sp1",), "P_HSYM", False),
-    ("h_skew3",): (("spn_sp1",), "P_H", False),
-    ("h_sym0", "h_skew3"): (("on",), "laplace", False),
-}
-
-_ON_ROUTES = {
-    (): (("on",), "P", False),
-    ("sym0",): (("on",), "laplace", False),
-}
-
-
-def _routes_for(group: st.Group) -> dict:
-    return {"on": _ON_ROUTES, "un": _UN_ROUTES,
-            "spn_sp1": _SPNSP1_ROUTES, "spn_s1": _SPN_ROUTES}[group.kind]
-
-
 def enumerate_basic_edges(group: st.Group, *, build_cones: bool = True,
                           seed: int = 0) -> list[CatalogEntry]:
     """All subsets of non-identity components, each verified basic."""
     comps = st.irreducible_components(group)
     names = [k for k in comps if k != "id"]
-    routes = _routes_for(group)
+    families = cat.FAMILIES[group.kind]
     entries = []
     for size in range(len(names) + 1):
         for subset in itertools.combinations(names, size):
@@ -131,15 +85,15 @@ def enumerate_basic_edges(group: st.Group, *, build_cones: bool = True,
                 raise ClassificationError(
                     f"subset {subset} of {group.kind} failed the basic-edge "
                     f"check (edge max {rep.edge_side_max})")
-            larger, label, new = routes[subset]
+            family = families[subset]
             cone = None
             if build_cones:
-                kernel, lin_w = closed_form_for(group, subset, comps)
+                kernel, lin_w = cat.closed_form_for(group, subset, comps)
                 cone = EdgeCone(edge, check=False, fast_margin=kernel,
                                 linear_margin_weight=lin_w,
                                 name=f"{group.kind}:{'+'.join(subset) or 'zero'}")
-            entries.append(CatalogEntry(group, subset, edge, cone, larger,
-                                        label, new, rep, degenerate))
+            entries.append(CatalogEntry(group, subset, edge, cone, family.larger,
+                                        family.label, family.new, rep, degenerate))
     return entries
 
 

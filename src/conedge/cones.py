@@ -653,112 +653,38 @@ class SupportReport:
     zero_extension_failures: int
 
 
-def _max_projected_projector(edge: SymSubspace, q_rows: np.ndarray,
-                             starts: int = 12, seed: int = 0):
-    """Maximize |pi_E(e e^T)|^2 over unit e in the row span of q_rows."""
-    rng = as_rng(seed)
-    k = q_rows.shape[0]
-    best_val, best_e = -np.inf, None
-    inits = [q_rows[i] for i in range(k)]
-    for _ in range(max(0, starts - k)):
-        c = rng.normal(size=k)
-        inits.append(c @ q_rows)
-    for e0 in inits:
-        e = e0 / np.linalg.norm(e0)
-        val = None
-        step = 0.5
-        for _ in range(200):
-            pe = np.outer(e, e)
-            proj = subspace_project(edge, pe)
-            val = float(np.einsum("ij,ij->", proj, proj))
-            grad = 4.0 * (proj @ e)
-            # keep the ascent inside the working subspace, tangent to the sphere
-            grad = (grad @ q_rows.T) @ q_rows
-            grad -= (grad @ e) * e
-            gn = np.linalg.norm(grad)
-            if gn < 1e-12:
-                break
-            improved = False
-            while step > 1e-12:
-                cand = e + step * grad
-                cand /= np.linalg.norm(cand)
-                pc = np.outer(cand, cand)
-                pv = subspace_project(edge, pc)
-                cand_val = float(np.einsum("ij,ij->", pv, pv))
-                if cand_val > val + 1e-16:
-                    e, val = cand, cand_val
-                    step *= 1.5
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if val is not None and val > best_val:
-            best_val, best_e = val, e
-    return best_val, best_e
-
-
-def _refine_killed_direction(edge: SymSubspace, e: np.ndarray, iters: int = 10) -> np.ndarray:
-    """Power-iteration polish: a direction with P_e inside the edge is a
-    fixed point of e -> top eigenvector of pi_E(P_e)."""
-    for _ in range(iters):
-        p = subspace_project(edge, np.outer(e, e))
-        lam, vec = np.linalg.eigh(0.5 * (p + p.T))
-        e_new = vec[:, -1]
-        if e_new @ e < 0:
-            e_new = -e_new
-        if np.linalg.norm(e_new - e) < 1e-15:
-            return e_new
-        e = e_new
-    return e
-
-
 def support_of(cone: ConeHandle, *, seed: int = 0, check_samples: int = 100) -> SupportReport:
-    """Directions whose rank-one projectors sit inside the edge are inert;
-    the support is their orthogonal complement.
+    """Directions e whose rank-one projectors P_e sit inside the edge E are
+    inert; the support is their orthogonal complement.
 
-    Iteratively maximizes |pi_E(P_e)|^2 on the unit sphere (multi-start
-    ascent), accepts minimizers of the complementary residual below
-    SUPPORT_ACCEPT, deflates, and repeats.  Residuals landing in the dead
-    band [SUPPORT_ACCEPT, SUPPORT_DEADBAND] are reported as indeterminate.
-    The zero-extension consistency of the restricted cone is spot-checked.
+    E is the edge of a cone F stable under adding positive semidefinite
+    matrices (F + P in F), which holds for basic EdgeCone edges, half-spaces
+    and geometric cones.  Then P_e in E iff e.v = e v^T + v e^T is in E for
+    every v (both P_{e+tv} - P_e and P_{e-tv} - P_e lie in F; divide by t,
+    let t -> 0), iff 2 v^T S e = <S, e.v> = 0 for every S in the span
+    E-perp and every v, iff S e = 0 for every S in the span.  So the inert
+    directions are the common null space of the span basis: one SVD of the
+    stacked basis (dim S * n, n).  A right singular vector whose squared
+    singular value (sum_k |S_k e|^2) is below SUPPORT_ACCEPT is killed, one
+    in [SUPPORT_ACCEPT, SUPPORT_DEADBAND) is listed as indeterminate, and
+    all but the killed ones span the support.  The zero-extension
+    consistency of the restricted cone is spot-checked.
     """
     n = cone.n
-    edge = cone.edge_of()
-    q_rows = np.eye(n)
-    killed = []
-    indeterminate = []
-    while q_rows.shape[0] > 0:
-        val, e = _max_projected_projector(edge, q_rows, seed=seed)
-        if e is None:
-            break
-        r = 1.0 - val  # |P_e|^2 = 1 for unit e
-        if r < SUPPORT_DEADBAND:
-            e_ref = _refine_killed_direction(edge, e)
-            p_ref = np.outer(e_ref, e_ref)
-            r_ref = 1.0 - float(np.einsum("ij,ij->", subspace_project(edge, p_ref),
-                                          subspace_project(edge, p_ref)))
-            if r_ref < r:
-                e, r = e_ref, r_ref
-        if r < SUPPORT_ACCEPT:
-            killed.append(e)
-            # deflate: restrict the search to the orthogonal complement
-            q_rows = st.orthonormal_rows([e, *q_rows], q_rows.shape[0])[1:]
-            continue
-        if r < SUPPORT_DEADBAND:
-            indeterminate.append((float(r), e))
-        break
-
-    killed_arr = np.array(killed) if killed else np.zeros((0, n))
-    # support = orthogonal complement of the killed directions
-    support = st.orthonormal_rows([*killed, *np.eye(n)], n)[len(killed):]
+    _, sing, vt = np.linalg.svd(cone.span_of().basis.reshape(-1, n),
+                                full_matrices=False)
+    r = sing ** 2
+    killed = vt[r < SUPPORT_ACCEPT]
+    support = vt[r >= SUPPORT_ACCEPT]
+    indeterminate = [(float(ri), e) for ri, e in zip(r, vt)
+                     if SUPPORT_ACCEPT <= ri < SUPPORT_DEADBAND]
 
     checked = failures = 0
     if 0 < support.shape[0] < n:
         checked, failures = _zero_extension_check(
             cone, support, samples=check_samples, seed=seed + 1
         )
-    return SupportReport(support, killed_arr, indeterminate, checked, failures)
+    return SupportReport(support, killed, indeterminate, checked, failures)
 
 
 def _zero_extension_check(cone: ConeHandle, support: np.ndarray, samples: int, seed: int):
@@ -769,8 +695,8 @@ def _zero_extension_check(cone: ConeHandle, support: np.ndarray, samples: int, s
     rng = as_rng(seed)
     edge = cone.edge_of()
     # restricted edge: compress the edge basis onto the support coordinates;
-    # support directions carry only r^(1/4) accuracy, so residues below the
-    # corresponding scale are artifacts of the compression, not structure
+    # kept directions may be inert up to SUPPORT_DEADBAND, so residues below
+    # the corresponding scale are artifacts of the compression, not structure
     comp = orthonormalize(
         [support @ b @ support.T for b in edge.basis], ambient_n=k,
         drop_rtol=10.0 * SUPPORT_ACCEPT ** 0.25,

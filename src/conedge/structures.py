@@ -12,16 +12,22 @@ for the associated plane families and group elements, the canonical form
 of matrices commuting with I and anti-commuting with J, K, and the
 determinant-type operator values built from grouped eigenvalues.
 
+A structure label, "c" (complex) or "i", "j", "k" (quaternionic), names a
+matrix `structure(n, label)`.  Each plane family is one `_PLANE_FAMILIES`
+row, which its validation, dimension, sampler and relations all read.
+
 Every sampler rests on one structured frame builder, `orthonormal_rows`:
 vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
 `plane_sampler` and `group_sampler` build their structures once and are
 cached per (frozen) family or group, so `sample_plane` and
-`sample_group_element` reuse them.
+`sample_group_element` reuse them; `quaternion_triple` is cached per
+dimension and its matrices are read-only.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +58,8 @@ class Group:
     def __post_init__(self):
         if self.kind not in GROUP_KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        if not isinstance(self.dim, numbers.Integral):
+            raise ValueError(f"ambient dimension must be an integer, got {self.dim!r}")
         if self.kind == "un" and self.dim % 2:
             raise ValueError("un needs even ambient dimension")
         if self.kind in ("spn", "spn_sp1", "spn_s1") and self.dim % 4:
@@ -106,18 +114,33 @@ _BLOCK_J = np.array(
 _BLOCK_K = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float
 )
+_IJK = ("i", "j", "k")  # quaternionic structure labels
 
 
+@functools.lru_cache(maxsize=64)
 def quaternion_triple(n: int) -> QuaternionTriple:
-    """Blockwise I, J, K on H^n."""
+    """Blockwise I, J, K on H^n, built and validated once per n; the
+    matrices are read-only because every caller shares them."""
     if n < 1:
         raise ValueError("need at least one quaternionic coordinate")
     eye = np.eye(n)
-    trip = QuaternionTriple(
-        np.kron(eye, _BLOCK_I), np.kron(eye, _BLOCK_J), np.kron(eye, _BLOCK_K)
-    )
+    mats = [np.kron(eye, b) for b in (_BLOCK_I, _BLOCK_J, _BLOCK_K)]
+    for m in mats:
+        m.flags.writeable = False
+    trip = QuaternionTriple(*mats)
     trip.validate()
     return trip
+
+
+def structure(n: int, label: str) -> np.ndarray:
+    """The structure matrix on R^n named by `label`: "c" is the standard
+    complex structure, "i", "j", "k" the quaternionic right
+    multiplications."""
+    if label == "c":
+        return complex_structure(n)
+    if label not in _IJK:
+        raise ValueError(f"unknown structure label {label!r}")
+    return getattr(quaternion_triple(n // 4), label)
 
 
 def right_scalar(trip: QuaternionTriple, q) -> np.ndarray:
@@ -284,10 +307,24 @@ def reduced_projected_pe(n: int, e) -> np.ndarray:
 # plane families
 # ----------------------------------------------------------------------
 
-PLANE_TAGS = (
-    "grass", "cp", "lag", "hp", "hlag", "gl_ijk",
-    "ilag", "jlag", "klag", "cp_j", "cp_k",
-)
+# tag -> (seed structures, row structures, seed count at ambient n and grass
+# dimension p).  Seeds are orthonormal against each other's images under the
+# seed structures; a frame's rows are each seed and its images under the row
+# structures.
+_PLANE_FAMILIES = {
+    "grass": ((), (), lambda n, p: p),
+    "cp": (("c",), ("c",), lambda n, p: 1),
+    "lag": (("c",), (), lambda n, p: n // 2),
+    "hp": (_IJK, _IJK, lambda n, p: 1),
+    "hlag": (_IJK, (), lambda n, p: n // 4),
+    "gl_ijk": (_IJK, ("i",), lambda n, p: n // 4),
+    "ilag": (("i",), (), lambda n, p: n // 2),
+    "jlag": (("j",), (), lambda n, p: n // 2),
+    "klag": (("k",), (), lambda n, p: n // 2),
+    "cp_j": (("j",), ("j",), lambda n, p: 1),
+    "cp_k": (("k",), ("k",), lambda n, p: 1),
+}
+PLANE_TAGS = tuple(_PLANE_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -301,39 +338,23 @@ class PlaneFamily:
     def __post_init__(self):
         if self.tag not in PLANE_TAGS:
             raise ValueError(f"unknown plane family {self.tag!r}")
+        if not isinstance(self.ambient, numbers.Integral) or self.ambient < 1:
+            raise ValueError(f"ambient dimension must be a positive integer, "
+                             f"got {self.ambient!r}")
+        if self.p is not None and not isinstance(self.p, numbers.Integral):
+            raise ValueError(f"plane dimension must be an integer, got {self.p!r}")
         if self.tag == "grass":
             if not self.p or not 1 <= self.p <= self.ambient:
                 raise ValueError("grass needs a plane dimension 1..ambient")
-        if self.tag in ("cp", "lag") and self.ambient % 2:
-            raise ValueError(f"{self.tag} needs even ambient dimension")
-        if self.tag in ("hp", "hlag", "gl_ijk", "ilag", "jlag", "klag", "cp_j", "cp_k"):
-            if self.ambient % 4:
-                raise ValueError(f"{self.tag} needs ambient dimension divisible by 4")
+        seeds, _, _ = _PLANE_FAMILIES[self.tag]
+        modulus = max((4 if s in _IJK else 2 for s in seeds), default=1)
+        if self.ambient % modulus:
+            raise ValueError(f"{self.tag} needs ambient dimension divisible by {modulus}")
 
     @property
     def plane_dim(self) -> int:
-        n = self.ambient
-        return {
-            "grass": self.p or 0,
-            "cp": 2, "cp_j": 2, "cp_k": 2,
-            "lag": n // 2,
-            "hp": 4,
-            "hlag": n // 4,
-            "gl_ijk": n // 2,
-            "ilag": n // 2, "jlag": n // 2, "klag": n // 2,
-        }[self.tag]
-
-
-def family_structure_matrix(family: PlaneFamily) -> np.ndarray:
-    """The single structure matrix a line/lagrangian family refers to."""
-    n = family.ambient
-    if family.tag in ("cp", "lag"):
-        return complex_structure(n)
-    trip = quaternion_triple(n // 4)
-    return {
-        "ilag": trip.i, "jlag": trip.j, "klag": trip.k,
-        "cp_j": trip.j, "cp_k": trip.k,
-    }[family.tag]
+        _, rows, count = _PLANE_FAMILIES[self.tag]
+        return count(self.ambient, self.p) * (1 + len(rows))
 
 
 def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float = 1e-8):
@@ -384,31 +405,13 @@ def _expand(seeds: np.ndarray, mats) -> np.ndarray:
 
 
 def family_spec(family: PlaneFamily):
-    """Seed parametrization of a family: (seed_count, gs_mats, row_mats).
-
-    A frame is built from `seed_count` vectors orthonormalized against
-    themselves and their images under `gs_mats`; its rows are each seed
-    followed by its images under `row_mats`.
-    """
+    """Seed parametrization of a family: (seed_count, gs_mats, row_mats),
+    the seed count and the seed and row structure matrices of its
+    `_PLANE_FAMILIES` row."""
+    seeds, rows, count = _PLANE_FAMILIES[family.tag]
     n = family.ambient
-    tag = family.tag
-    if tag == "grass":
-        return family.p, [], []
-    if tag in ("cp", "cp_j", "cp_k"):
-        s = family_structure_matrix(family)
-        return 1, [s], [s]
-    if tag in ("lag", "ilag", "jlag", "klag"):
-        s = family_structure_matrix(family)
-        return n // 2, [s], []
-    trip = quaternion_triple(n // 4)
-    structs = [trip.i, trip.j, trip.k]
-    if tag == "hp":
-        return 1, structs, structs
-    if tag == "hlag":
-        return n // 4, structs, []
-    if tag == "gl_ijk":
-        return n // 4, structs, [trip.i]
-    raise ValueError(f"unhandled family {tag!r}")
+    return (count(n, family.p), [structure(n, s) for s in seeds],
+            [structure(n, s) for s in rows])
 
 
 @functools.lru_cache(maxsize=64)
@@ -432,30 +435,20 @@ def sample_plane(family: PlaneFamily, seed) -> np.ndarray:
 
 
 def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:
-    """Worst violation of the family's defining orthogonality relations."""
+    """Worst violation of the family's defining relations: the rows are
+    orthonormal, the projector F^T F commutes with each row structure, and
+    F M F^T = 0 for each other seed structure M."""
     f = np.asarray(frame)
+    seeds, rows, _ = _PLANE_FAMILIES[family.tag]
+    n = family.ambient
     res = np.abs(f @ f.T - np.eye(f.shape[0])).max()
-    tag = family.tag
-    if tag == "grass":
-        return float(res)
-    if tag in ("cp", "cp_j", "cp_k"):
-        i_mat = family_structure_matrix(family)
-        p = f.T @ f
-        return float(max(res, np.abs(p @ i_mat - i_mat @ p).max()))
-    if tag in ("lag", "ilag", "jlag", "klag"):
-        i_mat = family_structure_matrix(family)
-        return float(max(res, np.abs(f @ i_mat @ f.T).max()))
-    trip = quaternion_triple(family.ambient // 4)
-    if tag in ("hp", "hlag"):
-        g = _expand(f[:1] if tag == "hp" else f, [trip.i, trip.j, trip.k])
-        return float(max(res, np.abs(g @ g.T - np.eye(len(g))).max()))
-    if tag == "gl_ijk":
-        p = f.T @ f
-        res = max(res, np.abs(p @ trip.i - trip.i @ p).max())
-        res = max(res, np.abs(f @ trip.j @ f.T).max())
-        res = max(res, np.abs(f @ trip.k @ f.T).max())
-        return float(res)
-    raise ValueError(tag)
+    p = f.T @ f
+    for label in rows:
+        m = structure(n, label)
+        res = max(res, np.abs(p @ m - m @ p).max())
+    for label in (s for s in seeds if s not in rows):
+        res = max(res, np.abs(f @ structure(n, label) @ f.T).max())
+    return float(res)
 
 
 # ----------------------------------------------------------------------
@@ -481,13 +474,10 @@ def group_sampler(group: Group, direction: str | None = None):
             return q * np.sign(np.diag(r))
 
         return draw_on
-    if kind == "un" and direction is None:
-        mats = [complex_structure(n)]
-    else:
-        trip = quaternion_triple(n // 4)
-        named = {"i": trip.i, "j": trip.j, "k": trip.k}
-        mats = [named[direction]] if kind == "un" else [trip.i, trip.j, trip.k]
-    count = n // (1 + len(mats))
+    # g commutes with the seed structures of a lagrangian family: "c"
+    # ("lag"), one of "i", "j", "k" ("ilag", ...) or all three ("hlag")
+    tag = f"{direction or ''}lag" if kind == "un" else "hlag"
+    count, mats, _ = family_spec(PlaneFamily(tag, n))
     reference = _expand(orthonormal_rows(np.eye(n), count, mats), mats)
 
     def draw(seed) -> np.ndarray:
@@ -496,10 +486,10 @@ def group_sampler(group: Group, direction: str | None = None):
         g = _expand(seeds, mats).T @ reference
         if kind == "spn_sp1":
             q = rng.normal(size=4)
-            return g @ right_scalar(trip, q / np.linalg.norm(q))
+            return g @ right_scalar(quaternion_triple(n // 4), q / np.linalg.norm(q))
         if kind == "spn_s1":
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            circle = named[direction or "i"]
+            circle = structure(n, direction or "i")
             return g @ (np.cos(theta) * np.eye(n) + np.sin(theta) * circle)
         return g
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -34,6 +35,12 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             cat.build_cone("nope")
+
+    def test_zero_dimension_rejected(self):
+        # n = 0 is a dimension, not "use the default"
+        with pytest.raises(ValueError):
+            cat.build_cone("P", 0)
+        assert run_cli(["check-cone", "--name", "P", "--n", "0", "--dry-run"]) == 2
 
     def test_fast_margins_match_optimizer(self, rng):
         for name, n in (("P", 3), ("laplace", 3), ("P_C", 4), ("P_LAG", 4),
@@ -143,6 +150,43 @@ edge = h_sym0,e_i
         commuting = [st.complex_sym_part(b, i_mat) for b in ss.standard_basis(n)]
         gens = [c - np.trace(c) / n * np.eye(n) for c in commuting]
         assert ss.subspace_equal(edge, ss.orthonormalize(gens, ambient_n=n))
+
+    # (cone, n) pairs of the README's closed-form table -> (linear weight?,
+    # sha256 of margin_batch on a seeded stack, None when the cone has no
+    # kernel): the kernel each cone gets is pinned bit for bit
+    PINNED = {
+        ("P", 1): (True, "c85fc8501e14b9b028dc65f493b74f417f30fa4e55ed7103ad4e7e3e723f3025"),
+        ("P", 2): (False, "5a263e2c9d4994205fc2cedd4da0779434d6685419d2076931098f064edb15ba"),
+        ("P", 3): (False, "5735fd089bf7c49893e35a773a927e1e1f4bf3c7a83e4bf316b585e748c5114f"),
+        ("laplace", 1): (True, "c85fc8501e14b9b028dc65f493b74f417f30fa4e55ed7103ad4e7e3e723f3025"),
+        ("laplace", 2): (True, "c7d17b62b711614bde49e24fd9024c4ddba4412a05d2b31eef865b41cbda37c6"),
+        ("laplace", 3): (True, "e1ad71cdbaa82eba960900f3372bdf8b56fd8ed8c9c24cbf2f663c75f6342283"),
+        ("P_C", 2): (False, "c7d17b62b711614bde49e24fd9024c4ddba4412a05d2b31eef865b41cbda37c6"),
+        ("P_C", 4): (False, "04c35f10425ae4201f08f3da2aff6f8a62be008bc0c58bc11a7421dfaeb8bc7c"),
+        ("P_C", 6): (False, "0eb7bb492d3bae7524ef3eb19245574eb6833fe49bfdb13dd3e0eefa07c987cf"),
+        ("P_LAG", 2): (False, "5a263e2c9d4994205fc2cedd4da0779434d6685419d2076931098f064edb15ba"),
+        ("P_LAG", 4): (False, "d131d705a617906c36f584023c464a2154551688487ad1fff9820f8504b696e5"),
+        ("P_LAG", 6): (False, "adb3fd85750297a47f232d07b21285111eb6f1fca094c7b2c0318d4b3d087260"),
+        ("P_H", 4): (False, "b03ca781148aa43025a8ebc6a8a316f54a7ce4e5b0e95adc148e26695d56cce0"),
+        ("P_H", 8): (False, "37947ae6a92b6bfb58e874282348f2ba1fe0a4062ecf1fc890a026c0305c52cd"),
+        ("GL_IJK", 4): (False, "8e711b2ddffb1466a8650cbf7b1387d419ea62e8c9edea4ceed605b8b4266ccb"),
+        ("GL_IJK", 8): (False, "981a64ee5d018cf24bd465d65fc417b633fed2dcba49ab14244a033bab55ef1c"),
+        ("P_HSYM", 4): (False, "9e35b9530fe9b1822ac74a946b2e90013c33081c2285ac591862a8e038eb9156"),
+        ("P_HSYM", 8): (False, None),
+        ("P_EI", 4): (False, "e6235523adac38366696b0a564fb3f1e3393a3350fb932a2d46acfa6ec680132"),
+        ("P_EI", 8): (False, None),
+    }
+
+    @pytest.mark.parametrize("name, n", list(PINNED))
+    def test_pinned_dispatch(self, name, n):
+        weight, digest = self.PINNED[(name, n)]
+        cone = cat.build_cone(name, n)
+        assert (cone.linear_margin_weight is not None) == weight
+        assert (cone._fast_margin is None) == (digest is None)
+        if digest is not None:
+            g = np.random.default_rng(n).normal(size=(16, n, n))
+            margins = cone.margin_batch(0.5 * (g + g.transpose(0, 2, 1)))
+            assert hashlib.sha256(margins.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_classification_cones_share_kernels(self, n, rng):

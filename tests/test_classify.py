@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conedge import classify as cl
 from conedge import structures as st
@@ -46,6 +47,28 @@ class TestEnumeration:
         degs = [e for e in entries if e.degenerate]
         # the traceless quaternion-hermitian block vanishes at one coordinate
         assert degs and all("h_sym0" in e.components for e in degs)
+
+
+class TestEntryKernels:
+    """Every entry whose edge has a closed form gets it, and it agrees with
+    the translate optimizer."""
+
+    @pytest.mark.parametrize("kind, n", [("un", 4), ("spn_sp1", 8),
+                                         ("spn_s1", 4), ("spn_s1", 8)])
+    def test_kernels_match_optimizer(self, kind, n):
+        rng = np.random.default_rng(11)
+        for entry in cl.enumerate_basic_edges(st.Group(kind, n)):
+            if entry.cone._fast_margin is None:
+                continue
+            for _ in range(2):
+                a = ss.random_symmetric(n, rng)
+                m_opt, *_ = entry.cone.optimizer_margin(a)
+                assert abs(m_opt - entry.cone.margin(a)) <= 1e-8, entry.identified_with
+
+    def test_spn_s1_entries_without_kernel(self):
+        entries = cl.enumerate_basic_edges(st.Group("spn_s1", 8))
+        without = {e.identified_with for e in entries if e.cone._fast_margin is None}
+        assert without == {"P_HSYM", "P_EI[i]", "P_EI[j]", "P_EI[k]"}
 
 
 class TestInvariance:

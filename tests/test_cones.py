@@ -329,6 +329,17 @@ class TestSupport:
         assert abs(abs(rep.support[0, 0]) - 1.0) <= 1e-3
         assert np.abs(rep.killed[:, 0]).max() <= 1e-3
 
+    def test_rank_two_normal_support_is_its_range(self):
+        # a rotated rank-2 normal N in R^4: support = range N, killed = ker N
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+        normal = q[:, :2] @ np.diag([2.0, 0.5]) @ q[:, :2].T
+        rep = cn.support_of(cn.HalfspaceCone(normal))
+        assert rep.support.shape == (2, 4) and rep.killed.shape == (2, 4)
+        rng_proj = q[:, :2] @ q[:, :2].T
+        assert np.abs(rep.support.T @ rep.support - rng_proj).max() <= 1e-12
+        assert np.abs(rep.killed.T @ rep.killed - (np.eye(4) - rng_proj)).max() <= 1e-12
+        assert rep.indeterminate == []
+
     def test_psd_cone_full_support(self):
         rep = cn.support_of(cat.build_cone("P", 3))
         assert rep.support.shape[0] == 3

@@ -41,6 +41,27 @@ class TestQuaternionTriple:
             st.Group("spn_s1", 6)
         with pytest.raises(ValueError):
             st.Group("nope", 4)
+        with pytest.raises(ValueError):
+            st.Group("on", 2.5)
+
+    def test_cached_read_only(self):
+        for n in (1, 2, 3):
+            trip = st.quaternion_triple(n)
+            assert st.quaternion_triple(n) is trip
+            for m, block in zip((trip.i, trip.j, trip.k),
+                                (st._BLOCK_I, st._BLOCK_J, st._BLOCK_K)):
+                assert not m.flags.writeable
+                assert np.array_equal(m, np.kron(np.eye(n), block))
+            with pytest.raises(ValueError):
+                trip.i[0, 0] = 1.0
+
+    def test_structure_labels(self):
+        assert np.array_equal(st.structure(6, "c"), st.complex_structure(6))
+        trip = st.quaternion_triple(2)
+        for label in ("i", "j", "k"):
+            assert st.structure(8, label) is getattr(trip, label)
+        with pytest.raises(ValueError):
+            st.structure(8, "dim")
 
 
 class TestComponents:
@@ -180,6 +201,20 @@ class TestPlaneSamplers:
                 f = st.sample_plane(fam, rng)
                 assert f.shape == (fam.plane_dim, fam.ambient)
                 assert st.frame_relations_residual(fam, f) <= 1e-10, fam.tag
+
+    @pytest.mark.parametrize("tag", [t for t in st.PLANE_TAGS if t != "grass"])
+    def test_random_frame_violates_relations(self, tag):
+        # a generic orthonormal frame of the right size is not in the family
+        fam = st.PlaneFamily(tag, 8)
+        g = np.random.default_rng(3).normal(size=(8, fam.plane_dim))
+        frame = np.linalg.qr(g)[0].T
+        assert st.frame_relations_residual(fam, frame) > 1e-2
+
+    @pytest.mark.parametrize("args", [("cp", 0), ("lag", -2), ("grass", 3, 2.5),
+                                      ("hp", 8.0), ("grass", 0, 0)])
+    def test_family_dimension_validation(self, args):
+        with pytest.raises(ValueError):
+            st.PlaneFamily(*args)
 
     def test_lag_defining_property(self, rng):
         fam = st.PlaneFamily("lag", 6)
