@@ -10,9 +10,11 @@ components that survive at the ambient dimension (some vanish in low
 dimension, e.g. h_sym0 at one quaternionic dimension), so any entry or
 classification edge equal to an edge with a closed form gets it.  Each
 closed form is one batch kernel over a stack of matrices (a single margin
-is the batch of one) and agrees exactly with the translate-optimizer
-margin (both compute the same pairing minimum over the polar base); the
-agreement is part of the test suite, so neither route may be removed.
+is the batch of one) and agrees with the primal-dual translate kernel
+(both compute the same pairing minimum over the polar base; the closed
+form lies in the kernel's certified interval); the agreement is part of
+the test suite, so neither route may be removed.  Edges without a closed
+form run that kernel.
 
 The catalog file format is a small INI-like key-value text:
 

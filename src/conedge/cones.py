@@ -3,11 +3,14 @@
 Three kinds of handle:
 
   * EdgeCone(E): the sum of a basic subspace E and the positive cone; its
-    membership margin is max over translates e in E of lambda_min(A - e),
-    a concave maximization solved by smoothed first-order ascent (the
-    same maximizer decides the basic-edge dichotomy).  A closed form, when
-    the catalog has one for E, is a batch kernel over a stack of
-    matrices; a single margin is the batch of one.
+    membership margin is max over translates e in E of lambda_min(A - e).
+    That is a small SDP pair, whose dual is min <A, Z> over the polar base
+    {Z >= 0, tr Z = 1, Z perpendicular to E}; translate_sdp solves it by
+    batched primal-dual path following, with a certified lower value and
+    a feasible dual Z.  A closed form, when the catalog has one for E, is
+    a batch kernel over a stack of matrices; a single margin is the batch
+    of one.  The basic-edge dichotomy maximizes lambda_min over a trace
+    slice by smoothed L-BFGS ascent.
   * HalfspaceCone(N): {A : <A, N> >= 0} for a unit PSD normal.
   * GeometricCone(family): {A : tr(A|_W) >= 0 for all planes W}, probed by
     pre-sampled frames plus local frame descent.
@@ -93,7 +96,164 @@ def _classify(margin: float, tol: float, witness=None, stalled=False) -> Members
 
 
 # ----------------------------------------------------------------------
-# smoothed concave maximization of lambda_min
+# primal-dual translate kernel
+# ----------------------------------------------------------------------
+
+SDP_GAP_RTOL = 1e-11
+SDP_MAX_ITER = 60
+
+
+def _sym(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + np.swapaxes(x, -1, -2))
+
+
+def _psd_step(l_inv: np.ndarray, d: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Per matrix, the step t <= 1 along d that keeps mat = L L^T positive
+    definite: 0.95 of the way to the PSD boundary, read off the smallest
+    eigenvalue of L^-1 d L^-T, halved until eigvalsh confirms it."""
+    lam = np.linalg.eigvalsh(l_inv @ d @ np.swapaxes(l_inv, -1, -2))[:, 0]
+    step = np.minimum(1.0, 0.95 / np.maximum(-lam, 1e-300))
+    for _ in range(60):
+        bad = np.linalg.eigvalsh(mat + step[:, None, None] * d)[:, 0] <= 0
+        if not bad.any():
+            break
+        step[bad] *= 0.5
+    return step
+
+
+def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
+    """Maximize lambda_min(A - sum_k c_k E_k) over c, for each A of a stack.
+
+    The problem is the SDP pair
+        max t      s.t.  S = A - t Id - sum_k c_k E_k >= 0,
+        min <A, Z> s.t.  Z >= 0, tr Z = 1, <E_k, Z> = 0,
+    solved for the whole stack at once by HKM primal-dual path following
+    with Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei &
+    Wolkowicz 1996).  Start: Z = Id/n, c = 0, t = lambda_min(A) - (1 + |A|),
+    strictly feasible for a traceless edge; the residual of <F, Z> = b,
+    F = (Id, E), b = (1, 0, ...), rides in the Newton system otherwise.
+
+    The Schur matrix M_ij = tr(F_i Z F_j S^-1) is never formed: with
+    Z = Lz Lz^T and S^-1 = Ls Ls^T from eigh, the rows B_i = vec(Lz^T F_i Ls)
+    give M = R^T R for R of the QR factorization of B^T, and each direction
+    costs two solves, with the triangular R^T and R.  Steps go 0.95 of the way to the PSD
+    boundary.  A matrix leaves the active set once its gap <Z, S> is at
+    most SDP_GAP_RTOL (1 + |A|); a non-finite direction freezes it at its
+    current iterate.  The dual iterate's constraint residual (rounding in
+    the columns of Z dS S^-1 that S^-1 blows up) is finally removed by a
+    one-sided correction sym(Z H), H in span F, which leaves the near-null
+    block of Z alone; a correction that would leave the PSD cone is skipped.
+
+    Returns (lower, coords, z, gap): lower = lambda_min(A - sum_k c_k E_k)
+    at the final coords c, a certified lower bound of the maximum; z the
+    dual iterate, so <A, z> bounds it from above; gap = <z, S> there.
+    """
+    a_stack = np.asarray(a_stack, dtype=float)
+    m, n, _ = a_stack.shape
+    k = gens.shape[0]
+    if k == 0:  # no translate: the margin is lambda_min, z its eigenprojector
+        lam, vec = np.linalg.eigh(a_stack)
+        v = vec[:, :, 0]
+        return lam[:, 0], np.zeros((m, 0)), v[:, :, None] * v[:, None, :], np.zeros(m)
+    f = np.concatenate([np.eye(n)[None], gens])           # F_0 = Id, F_k = E_k
+    f_flat = f.reshape(k + 1, n * n)
+    b = np.eye(k + 1)[0]
+    scale = 1.0 + np.sqrt(np.einsum("mij,mij->m", a_stack, a_stack))
+    y = np.zeros((m, k + 1))                                # (t, c)
+    y[:, 0] = np.linalg.eigvalsh(a_stack)[:, 0] - scale
+    z = np.repeat(np.eye(n)[None] / n, m, axis=0)
+
+    def slack(idx):
+        return a_stack[idx] - (y[idx] @ f_flat).reshape(-1, n, n)
+
+    active = np.arange(m)
+    with np.errstate(all="ignore"):  # non-finite directions are caught below
+        for _ in range(SDP_MAX_ITER):
+            s = slack(active)
+            gap = np.einsum("mij,mji->m", z[active], s)
+            keep = gap > SDP_GAP_RTOL * scale[active]
+            active, s, gap = active[keep], s[keep], gap[keep]
+            if not active.size:
+                break
+            za = z[active]
+            wz, vz = np.linalg.eigh(za)
+            ws, vs = np.linalg.eigh(s)
+            lz = vz * np.sqrt(wz)[:, None, :]
+            ls = vs / np.sqrt(ws)[:, None, :]
+            ls_t = np.swapaxes(ls, -1, -2)
+            # one stack for both step lengths: Z = Lz Lz^T, S = Ls^-T Ls^-1
+            mats = np.concatenate([za, s])
+            scal = np.concatenate([np.swapaxes(vz / np.sqrt(wz)[:, None, :], -1, -2), ls_t])
+            rows = (np.swapaxes(lz, -1, -2)[:, None] @ f @ ls[:, None]).reshape(-1, k + 1, n * n)
+            r = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r")
+            ok = (np.isfinite(rows).all(axis=(1, 2))
+                  & np.isfinite(scal).reshape(2, -1, n * n).all(axis=(0, 2))
+                  & (np.diagonal(r, axis1=1, axis2=2) != 0).all(axis=1))
+            r[~ok] = np.eye(k + 1)
+            r_t = np.swapaxes(r, -1, -2)
+            resid = b - za.reshape(-1, n * n) @ f_flat.T
+
+            def direction(g):
+                """dy and the stack (dZ, dS) of the Newton direction with
+                dZ = sym(g - Z dS S^-1) and <F_i, Z + dZ> = b_i, where
+                Z dS S^-1 = Lz (Lz^T dS Ls) Ls^T and Lz^T dS Ls = -sum dy_i B_i."""
+                rhs = resid - g.reshape(-1, n * n) @ f_flat.T
+                dy = np.linalg.solve(r, np.linalg.solve(r_t, rhs[..., None]))[..., 0]
+                lz_ds_ls = -np.einsum("mk,mkp->mp", dy, rows).reshape(-1, n, n)
+                dz = _sym(g - lz @ lz_ds_ls @ ls_t)
+                return dy, np.concatenate([dz, -(dy @ f_flat).reshape(-1, n, n)])
+
+            def steps(d):
+                """Step lengths of Z and S along d = (dZ, dS); zero where
+                the direction is not finite."""
+                fine = np.isfinite(d).all(axis=(1, 2)) & np.concatenate([ok, ok])
+                t = np.zeros(fine.size)
+                t[fine] = _psd_step(scal[fine], d[fine], mats[fine])
+                return t[:, None, None]
+
+            d = direction(-za)[1]                                    # predictor
+            t = steps(d)
+            mu = gap / n
+            na = active.size
+            moved = mats + t * d
+            mu_aff = np.einsum("mij,mji->m", moved[:na], moved[na:]) / n
+            sigma = np.clip(mu_aff / mu, 0.0, 1.0) ** 3
+            s_inv = ls @ ls_t
+            dz_ds = d[:na] @ d[na:] @ s_inv
+            dy, d = direction((sigma * mu)[:, None, None] * s_inv - za - dz_ds)  # corrector
+            t = steps(d)
+            # a matrix with a non-finite direction stays frozen at its iterate
+            ok &= np.isfinite(dy).all(axis=1) & (t[:na, 0, 0] > 0)
+            z[active[ok]] = (za + t[:na] * d[:na])[ok]
+            y[active[ok]] += t[na:, 0][ok] * dy[ok]
+            active = active[ok]
+
+    zf = z[:, None] @ f[None]                                       # Z F_j
+    gram = np.einsum("kab,mjba->mkj", f, zf)
+    resid = b - z.reshape(m, n * n) @ f_flat.T
+    h = (np.linalg.pinv(gram, rcond=1e-12) @ resid[..., None])[..., 0]
+    fixed = z + _sym(np.einsum("mj,mjab->mab", h, zf))
+    psd = np.linalg.eigvalsh(fixed)[:, 0] > 0
+    z[psd] = fixed[psd]
+    coords = y[:, 1:]
+    lower = np.linalg.eigvalsh(a_stack - (coords @ f_flat[1:]).reshape(m, n, n))[:, 0]
+    return lower, coords, z, np.einsum("mij,mji->m", z, slack(np.arange(m)))
+
+
+def edge_translate_margin(a: np.ndarray, edge: SymSubspace):
+    """Maximize lambda_min(a - e) over e in the edge subspace: translate_sdp
+    on the stack of one.
+
+    Returns (margin, translate, coords, stalled); stalled when the duality
+    gap stayed above default_tol(a).
+    """
+    lower, coords, _, gap = translate_sdp(a[None], edge.basis)
+    return (float(lower[0]), from_coords(edge, coords[0]), coords[0],
+            bool(gap[0] > default_tol(a)))
+
+
+# ----------------------------------------------------------------------
+# smoothed concave maximization of lambda_min over a trace slice
 # ----------------------------------------------------------------------
 
 def _lbfgs(fun_grad, x0: np.ndarray, *, maxiter: int = 80, memory: int = 8,
@@ -200,42 +360,6 @@ def _max_lambda_min(m0: np.ndarray, gens: np.ndarray, starts, mu_ladder, maxiter
         if not np.all(np.isfinite(c)):
             stalled = True
     return best_val, best_c, stalled
-
-
-def edge_translate_margin(
-    a: np.ndarray,
-    edge: SymSubspace,
-    *,
-    warm_coords: np.ndarray | None = None,
-    extra_starts: int = 3,
-    max_stage_iter: int = 80,
-    mu_ladder=(1e-2, 1e-4, 1e-6, 1e-8),
-    seed: int = 0,
-    warm_only: bool = False,
-):
-    """Maximize lambda_min(a - e) over e in the edge subspace.
-
-    Starting points: the projection of `a` onto the edge, zero, a supplied
-    warm start, and seeded Gaussians; temperatures scale with 1 + |a|.
-
-    Returns (margin, translate, coords, stalled).
-    """
-    if edge.dim == 0:
-        lam0 = float(np.linalg.eigvalsh(a)[0])
-        return lam0, np.zeros_like(a), np.zeros(0), False
-    scale = 1.0 + frob_norm(a)
-    if warm_only and warm_coords is not None:
-        starts = [np.asarray(warm_coords, dtype=float)]
-    else:
-        starts = [subspace_coords(edge, a), np.zeros(edge.dim)]
-        if warm_coords is not None:
-            starts.insert(0, np.asarray(warm_coords, dtype=float))
-        rng = as_rng(seed)
-        for _ in range(extra_starts):
-            starts.append(rng.normal(size=edge.dim) * scale)
-    val, coords, stalled = _max_lambda_min(
-        a, -edge.basis, starts, [mu * scale for mu in mu_ladder], max_stage_iter)
-    return val, from_coords(edge, coords), coords, stalled
 
 
 def _slice_max_lambda_min(space: SymSubspace, *, starts: int = 20, seed: int = 0):
@@ -406,27 +530,21 @@ class EdgeCone(ConeHandle):
     def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         if self._fast_margin is not None:
             return self._fast_margin(a_stack)
-        return super()._margin_batch(a_stack)
+        return translate_sdp(a_stack, self.edge.basis)[0]
 
     def optimizer_margin(self, a: np.ndarray, warm_coords=None, quick: bool = False):
-        """Margin by the translate optimizer regardless of any fast form.
+        """Margin by the primal-dual translate kernel regardless of any fast
+        form: edge_translate_margin's (margin, translate, coords, stalled).
 
-        With a warm start the smoothing ladder shortens to the final
-        temperatures; accuracy stays near 1e-12 on unit-scale inputs.
+        warm_coords and quick have no effect: the kernel always starts from
+        the same strictly feasible point and stops on the same gap.
         """
-        if warm_coords is not None:
-            return edge_translate_margin(a, self.edge, warm_coords=warm_coords,
-                                         extra_starts=0, mu_ladder=(1e-8,),
-                                         max_stage_iter=18, warm_only=True)
-        if quick:
-            return edge_translate_margin(a, self.edge, extra_starts=0,
-                                         mu_ladder=(1e-3, 1e-6, 1e-8),
-                                         max_stage_iter=50)
         return edge_translate_margin(a, self.edge)
 
     def decompose(self, a: np.ndarray, quick: bool = False):
-        """Split a = e + p with e in the edge; p is PD iff a is interior."""
-        m, e, coords, stalled = self.optimizer_margin(a, quick=quick)
+        """Split a = e + p with e in the edge; p is PD iff a is interior.
+        quick has no effect (see optimizer_margin)."""
+        m, e, _, stalled = edge_translate_margin(a, self.edge)
         return m, e, a - e, stalled
 
     def _margin_with_witness(self, a):
@@ -805,7 +923,7 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0,
     (i)   membership is decided by the reduced hessian: A and
           pi_S(A) + (random edge element) get the same verdict;
     (ii)  interior points split as edge translate + PD part, found by the
-          translate optimizer, and conversely;
+          primal-dual translate kernel (decompose), and conversely;
     (iii) polar = span cap positive cone, both directions sampled;
     (iv)  relative-interior polar elements are positive definite.
     """

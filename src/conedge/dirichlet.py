@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ConeHandle, EdgeCone
+from .cones import ConeHandle
 from .symspace import SymSubspace, as_rng
 
 THETA_FLOOR = 0.05
@@ -458,8 +458,10 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     h2 = dom.h * dom.h
     lin_w = cone.linear_margin_weight
     slope = cone.id_shift_slope
-    optimizer = isinstance(cone, EdgeCone) and cone._fast_margin is None
-    warm_cache: dict = {}
+    # the solver's Hessian stacks are symmetric and finite by construction,
+    # so they skip margin_batch's input check unless a cone overrides it
+    margins = (cone._margin_batch if type(cone).margin_batch is ConeHandle.margin_batch
+               else cone.margin_batch)
     eye = np.eye(dom.n)
     tol_s = 0.1 * tol * h2        # bisection resolution of the center shift
     history = []
@@ -482,17 +484,6 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         den_lo = slope * stencil.pencil_d.max(axis=1)
         den_hi = slope * stencil.pencil_d.min(axis=1)
 
-    def margins(a_stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Margins of the Hessians at the given rows; a cone without a
-        closed form runs the translate optimizer warm-started per node."""
-        if not optimizer:
-            return cone.margin_batch(a_stack)
-        out = np.empty(rows.size)
-        for i, f_idx in enumerate(stencil.flat_interior[rows]):
-            out[i], _, warm_cache[f_idx], _ = cone.optimizer_margin(
-                a_stack[i], warm_coords=warm_cache.get(f_idx))
-        return out
-
     def update_rows(rows: np.ndarray) -> tuple[float, float]:
         """Move each row's center by its root shift s of
         margin(H - s diag(d) / h^2); returns the largest change and the
@@ -500,7 +491,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         if rows.size == 0:
             return 0.0, 0.0
         a0, d = _node_pencil(stencil, flat, rows)
-        m0 = margins(a0, rows)
+        m0 = margins(a0)
 
         def shifted(k, s):
             return a0[k] - (s / h2)[:, None, None] * (d[k][:, :, None] * eye)
@@ -511,8 +502,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
             pad = np.maximum(hi - lo, h2)
             lo, hi = lo - pad, hi + pad
             every = np.arange(rows.size)
-            bad = int(np.count_nonzero((margins(shifted(every, lo), rows) < 0)
-                                       | (margins(shifted(every, hi), rows) > 0)))
+            bad = int(np.count_nonzero((margins(shifted(every, lo)) < 0)
+                                       | (margins(shifted(every, hi)) > 0)))
             if bad:
                 raise RuntimeError(f"bracket failure: the margin keeps its sign "
                                    f"across the identity-shift bracket at {bad} nodes")
@@ -520,7 +511,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         while open_.size:
             lo_o, hi_o = lo[open_], hi[open_]
             mid = 0.5 * (lo_o + hi_o)
-            up = margins(shifted(open_, mid), rows[open_]) >= 0
+            up = margins(shifted(open_, mid)) >= 0
             lo[open_] = np.where(up, mid, lo_o)
             hi[open_] = np.where(up, hi_o, mid)
             # a row also stops once its bracket has no float strictly inside

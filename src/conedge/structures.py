@@ -92,14 +92,17 @@ class QuaternionTriple:
             raise ValueError("composition convention violated (J I != K)")
 
 
+@functools.lru_cache(maxsize=64)
 def complex_structure(n_real: int) -> np.ndarray:
-    """Standard complex structure pairing slots (2l, 2l+1) as (x, y)."""
+    """Standard complex structure pairing slots (2l, 2l+1) as (x, y), built
+    once per dimension; read-only because every caller shares it."""
     if n_real % 2:
         raise ValueError("complex structure needs even dimension")
     block = np.array([[0.0, -1.0], [1.0, 0.0]])
     out = np.zeros((n_real, n_real))
     for l in range(n_real // 2):
         out[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = block
+    out.flags.writeable = False
     return out
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as hst
 from conedge import catalog as cat
 from conedge import classify as cl
 from conedge import cli
+from conedge import cones as cn
 from conedge import dirichlet as dh
 from conedge import structures as st
 from conedge import symspace as ss
@@ -255,6 +256,22 @@ def test_kernel_invariant_under_its_group(name, n, seed, scale):
     g = st.sample_group_element(group, rng)
     tol = 1e-12 * (1 + ss.frob_norm(a)) * n
     assert abs(cone.margin(g.T @ a @ g) - cone.margin(a)) <= tol
+
+
+@pytest.mark.parametrize("name, n", KERNEL_CONES)
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, scale=SCALES, boundary=hst.booleans())
+def test_kernel_inside_translate_sdp_interval(name, n, seed, scale, boundary):
+    # the primal-dual kernel brackets the maximum between its certified
+    # lower value and <A, z> for its feasible dual iterate z
+    cone, _ = _kernel_cone(name, n)
+    a = ss.random_symmetric(n, np.random.default_rng(seed), scale)
+    if boundary:
+        a = a - cone.margin(a) * np.eye(n)
+    closed = cone.margin(a)
+    lower, _, z, _ = cn.translate_sdp(a[None], cone.edge.basis)
+    tol = 1e-10 * (1 + ss.frob_norm(a))
+    assert lower[0] - tol <= closed <= float(np.einsum("ij,ji->", a, z[0])) + tol
 
 
 def run_cli(args):

@@ -3,6 +3,7 @@ import pytest
 
 from conedge import catalog as cat
 from conedge import cones as cn
+from conedge import dirichlet as dh
 from conedge import structures as st
 from conedge import symspace as ss
 
@@ -212,6 +213,116 @@ class TestOptimizerAgainstClosedForms:
             a = ss.random_symmetric(n, rng)
             m_opt, _, _, _ = cn.edge_translate_margin(a, cone.edge)
             assert m_opt == pytest.approx(cone.margin(a), abs=1e-8)
+
+
+class TestTranslateKernel:
+    """translate_sdp against the closed forms: its lower value is certified
+    (never above the maximum) and its dual iterate is feasible."""
+
+    PAIRS = [("P", 3), ("laplace", 3), ("P_C", 4), ("P_LAG", 4), ("P_H", 4),
+             ("GL_IJK", 4), ("P_EI", 4), ("P_C", 6), ("P_LAG", 6),
+             ("GL_IJK", 8), ("P_C", 8), ("P_H", 8)]
+
+    @staticmethod
+    def stacks(cone, seed):
+        """1000 random matrices, and the same matrices moved onto the cone
+        boundary (A - margin(A) Id)."""
+        rng = np.random.default_rng(seed)
+        a = np.array([ss.random_symmetric(cone.n, rng) for _ in range(1000)])
+        boundary = a - cone.margin_batch(a)[:, None, None] * np.eye(cone.n)
+        return {"random": a, "boundary": boundary}
+
+    @pytest.mark.parametrize("name, n", PAIRS)
+    def test_lower_matches_closed_form(self, name, n):
+        cone = cat.build_cone(name, n)
+        assert cone._fast_margin is not None
+        for kind, a in self.stacks(cone, 80).items():
+            closed = cone.margin_batch(a)
+            lower, coords, z, gap = cn.translate_sdp(a, cone.edge.basis)
+            scale = 1.0 + np.linalg.norm(a, axis=(1, 2))
+            assert np.all(lower <= closed + 1e-12 * scale), kind
+            assert np.all(np.abs(lower - closed) <= 1e-10 * scale), kind
+            # lower is lambda_min at the returned translate
+            translated = a - np.einsum("mk,kij->mij", coords, cone.edge.basis)
+            assert np.all(np.abs(lower - np.linalg.eigvalsh(translated)[:, 0])
+                          <= 1e-14 * scale), kind
+
+    @pytest.mark.parametrize("name, n", PAIRS)
+    def test_dual_iterate_is_feasible(self, name, n):
+        cone = cat.build_cone(name, n)
+        for kind, a in self.stacks(cone, 81).items():
+            closed = cone.margin_batch(a)
+            _, _, z, gap = cn.translate_sdp(a, cone.edge.basis)
+            assert np.all(np.abs(np.trace(z, axis1=1, axis2=2) - 1) <= 1e-10), kind
+            assert np.all(np.abs(np.einsum("kij,mji->mk", cone.edge.basis, z)) <= 1e-10)
+            assert np.all(np.linalg.eigvalsh(z)[:, 0] >= -1e-10), kind
+            upper = np.einsum("mij,mji->m", a, z)
+            tols = np.array([cn.default_tol(x) for x in a])
+            assert np.all(upper >= closed - tols), kind
+            assert np.all(gap <= tols), kind
+
+    @pytest.mark.parametrize("name", ["P_EI", "P_HSYM"])
+    def test_batch_equals_single(self, name):
+        cone = cat.build_cone(name, 8)
+        assert cone._fast_margin is None
+        rng = np.random.default_rng(82)
+        a = np.array([ss.random_symmetric(8, rng) for _ in range(12)])
+        batch = cone.margin_batch(a)
+        single = np.array([cone.margin(x) for x in a])
+        assert np.all(np.abs(batch - single) <= 1e-12)
+        # the single-matrix entries are the same kernel
+        assert np.all(np.abs(batch - [cone.optimizer_margin(x)[0] for x in a]) <= 1e-12)
+
+    def test_zero_edge_is_lambda_min(self):
+        rng = np.random.default_rng(83)
+        a = np.array([ss.random_symmetric(3, rng) for _ in range(5)])
+        lower, coords, z, gap = cn.translate_sdp(a, np.zeros((0, 3, 3)))
+        lam, vec = np.linalg.eigh(a)
+        assert np.array_equal(lower, lam[:, 0]) and coords.shape == (5, 0)
+        assert np.allclose(np.einsum("mij,mji->m", a, z), lam[:, 0], atol=1e-12)
+        assert np.all(gap == 0)
+
+    def test_non_finite_direction_freezes(self, monkeypatch):
+        # a direction poisoned after the first Newton solve leaves every
+        # matrix at its first iterate, whose lower value stays certified
+        cone = cat.build_cone("P_C", 4)
+        rng = np.random.default_rng(84)
+        a = np.array([ss.random_symmetric(4, rng) for _ in range(3)])
+        solve = np.linalg.solve
+        monkeypatch.setattr(cn.np.linalg, "solve",
+                            lambda r, rhs: np.full(np.shape(solve(r, rhs)), np.nan))
+        lower, coords, z, gap = cn.translate_sdp(a, cone.edge.basis)
+        monkeypatch.undo()
+        assert np.all(coords == 0)
+        assert np.array_equal(lower, np.linalg.eigvalsh(a)[:, 0])
+        assert np.all(lower <= cone.margin_batch(a))
+        assert np.all(gap > 1.0)
+
+    def test_stalled_means_gap_not_closed(self, monkeypatch):
+        cone = cat.build_cone("P_C", 4)
+        a = ss.random_symmetric(4, np.random.default_rng(85))
+        assert not cone.optimizer_margin(a)[3]
+        monkeypatch.setattr(cn, "SDP_MAX_ITER", 2)
+        m, _, _, stalled = cone.optimizer_margin(a)
+        assert stalled and m <= cone.margin(a)
+
+    def test_red_black_solve_without_closed_form(self):
+        # the hand-built c_skew cone has no closed form, so every half-sweep
+        # runs the kernel on the whole stack; its fixed point is P_C(4)'s
+        comps = st.irreducible_components(st.Group("un", 4))
+        plain = cn.EdgeCone(comps["c_skew"], check=False)
+        closed = cat.build_cone("P_C", 4)
+        assert plain._fast_margin is None
+        dom = dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 0.5)
+
+        def phi(p):
+            return np.cos(p[:, 0]) * np.exp(0.5 * p[:, 1]) + p[:, 2] * p[:, 3]
+
+        tol = 1e-9
+        u1, info1 = dh.perron_solve(plain, dom, phi, ordering="redblack", tol=tol)
+        u2, info2 = dh.perron_solve(closed, dom, phi, ordering="redblack", tol=tol)
+        assert info1.converged and info2.converged
+        assert np.abs(u1.values - u2.values).max() <= 10 * tol
 
 
 class TestBasicEdge:

@@ -383,6 +383,27 @@ class TestSamplerCache:
         assert digest.hexdigest() == self.GROUPS_SHA
 
 
+    # sha256 of the cp and lag draws at n = 2, 4, 6, 8 and seeds 0..4, as
+    # the uncached complex_structure gave them
+    COMPLEX_SHA = "e076881f2692f78b5894fd8c7f315434bec87b0be7de574eb4acb3ca455b3176"
+
+    def test_complex_structure_is_cached_read_only(self):
+        c = st.complex_structure(6)
+        assert c is st.complex_structure(6)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 1] = 0.0
+
+    def test_complex_draws_are_unchanged(self):
+        digest = hashlib.sha256()
+        for tag in ("cp", "lag"):
+            for n in (2, 4, 6, 8):
+                fam = st.PlaneFamily(tag, n)
+                for seed in range(5):
+                    digest.update(st.sample_plane(fam, seed).tobytes())
+        assert digest.hexdigest() == self.COMPLEX_SHA
+
+
 class TestCanonicalForm:
     def test_hand_example(self):
         form = st.canonical_form_ei(np.diag([1.0, 1.0, -1.0, -1.0]))
