@@ -8,7 +8,8 @@ monotone and shifts exactly by -s * slope under A -> A - s Id.  So a
 linear margin <A, W> is solved in closed form, a row with constant d has
 the closed-form root h^2 m / (d slope), and any other row bisects inside
 the bracket [h^2 m / (slope max d), h^2 m / (slope min d)], vectorized
-over the rows of a half-sweep.
+over the rows of a red-black half-sweep or of a lex front (the nodes of
+one key sum_i (n - i) x_i, which never read each other; see _lex_fronts).
 
 Margins of the form <A, W> with diagonal W make the node update plain
 Gauss-Seidel on a 2-cyclic, consistently ordered linear system (both
@@ -295,6 +296,18 @@ def _build_stencil(dom: GridDomain, phi) -> _Stencil:
     return stencil
 
 
+def _lex_fronts(stencil: _Stencil) -> list[np.ndarray]:
+    """Interior rows grouped by the key sum_i (n - i) x_i, in increasing
+    key order.  The weights fall strictly with the axis, so every stencil
+    offset has a nonzero key, negative exactly when it precedes the node in
+    lex order: one batch per front reads what the node-by-node lex sweep
+    reads (under sum_i x_i, e_i - e_j would have key 0)."""
+    multi = np.array(np.unravel_index(stencil.flat_interior, stencil.dom.shape)).T
+    key = multi @ np.arange(stencil.dom.n, 0, -1)
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
 def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Hessians H at the selected interior rows and the pencil
@@ -401,10 +414,11 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
                  use_bisection: bool = False) -> tuple[GridField, SolveInfo]:
     """Sweep until every interior discrete Hessian sits on the cone boundary.
 
-    ordering "lex" updates nodes one at a time in lexicographic order;
+    ordering "lex" gives the iterates of a node-by-node lexicographic
+    sweep, updating one dependency front at a time (see _lex_fronts);
     "redblack" updates the two parity classes as vectorized half-sweeps
-    (same fixed point within tol, much faster on large grids).  init
-    ("max", "min" or "zero") picks the constant start value.
+    (same fixed point within tol).  init ("max", "min" or "zero") picks
+    the constant start value.
 
     Each node moves to the root of its margin along the node pencil (see
     the module docstring): in closed form for linear margins and where d
@@ -466,7 +480,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     tol_s = 0.1 * tol * h2        # bisection resolution of the center shift
     history = []
     converged = False
-    sweeps, residual = 0, 0.0
+    sweeps, worst, residual = 0, 0.0, 0.0
 
     omega = 1.0
     if (lin_w is not None and not use_bisection
@@ -522,13 +536,13 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         flat[f_idx] = t_new
         return float(np.abs(t_new - t).max()), float(np.abs(m0).max())
 
-    all_rows = np.arange(stencil.flat_interior.size)
+    fronts = _lex_fronts(stencil) if ordering == "lex" else None
     red_rows = np.flatnonzero(stencil.red_mask)
     black_rows = np.flatnonzero(~stencil.red_mask)
 
     for sweeps in range(1, max_sweeps + 1):
         if ordering == "lex":
-            steps = [update_rows(np.array([row])) for row in all_rows]
+            steps = [update_rows(rows) for rows in fronts]
         else:
             steps = [update_rows(red_rows)]
             _refresh_axis_ghosts(stencil, flat)
@@ -543,7 +557,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
 
     field_vals = flat.reshape(dom.shape)
     return (GridField(dom, field_vals),
-            SolveInfo(converged, sweeps, history[-1][1] if history else 0.0,
+            SolveInfo(converged, sweeps, float(worst),
                       history, ordering, float(omega), float(residual)))
 
 

@@ -35,7 +35,7 @@ class EdgeQuadratic:
         single = x.ndim == 1
         pts = x[None, :] if single else x
         vals = (self.c + pts @ self.b
-                + 0.5 * np.einsum("pi,ij,pj->p", pts, self.curvature, pts))
+                + 0.5 * np.einsum("pi,pi->p", pts @ self.curvature, pts))
         return float(vals[0]) if single else vals
 
 

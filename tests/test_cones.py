@@ -324,6 +324,24 @@ class TestTranslateKernel:
         assert info1.converged and info2.converged
         assert np.abs(u1.values - u2.values).max() <= 10 * tol
 
+    def test_lex_solve_without_closed_form(self):
+        # lex runs the kernel once per dependency front; the node-by-node
+        # lex sweep took 40 sweeps on this problem, and both orderings
+        # share one fixed point
+        comps = st.irreducible_components(st.Group("un", 4))
+        plain = cn.EdgeCone(comps["c_skew"], check=False)
+        dom = dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 0.5)
+
+        def phi(p):
+            return np.cos(p[:, 0]) * np.exp(0.5 * p[:, 1]) + p[:, 2] * p[:, 3]
+
+        tol = 1e-9
+        u1, info1 = dh.perron_solve(plain, dom, phi, ordering="lex", tol=tol)
+        u2, info2 = dh.perron_solve(plain, dom, phi, ordering="redblack", tol=tol)
+        assert info1.converged and info2.converged
+        assert info1.sweeps == 40
+        assert np.abs(u1.values - u2.values).max() <= 10 * tol
+
 
 class TestBasicEdge:
     def test_traceless_line_is_basic(self, traceless2):

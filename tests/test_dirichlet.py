@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,21 @@ class TestPerronSolve:
         sweeps, updates = zip(*info.history)
         assert list(sweeps) == list(range(1, info.sweeps + 1))
 
+    @pytest.mark.parametrize("every", [10, 1000])
+    def test_max_update_is_the_last_sweep(self, every):
+        # the solve converges at sweep 188: with every = 10 the last record
+        # is sweep 180's update, above tol; with every = 1000 there is none
+        cone = cat.build_cone("P", 2)
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 4)
+        phi = lambda p: np.cos(2 * p[:, 0]) + 0.3 * p[:, 1]
+        tol = 1e-9
+        _, info = dh.perron_solve(cone, dom, phi, tol=tol, history_every=every)
+        _, full = dh.perron_solve(cone, dom, phi, tol=tol)
+        assert info.converged and info.sweeps == full.sweeps == 188
+        assert 0.0 < info.max_update < tol
+        assert info.max_update == full.max_update == full.history[-1][1]
+        assert [s for s, _ in info.history] == list(range(every, 189, every))
+
 
 class TestNodeUpdate:
     def test_pencil_center_shift_is_exact(self, rng):
@@ -290,6 +308,87 @@ class TestNodeUpdate:
         with pytest.raises(RuntimeError, match="bracket failure"):
             dh.perron_solve(RisingMargin(), dom, lambda p: p[:, 0] ** 2,
                             use_bisection=True)
+
+
+def smooth2(p):
+    return np.cos(2 * p[:, 0]) + 0.5 * p[:, 1] ** 2
+
+
+def smooth3(p):
+    return np.cos(2 * p[:, 0]) + 0.5 * p[:, 1] ** 2 + 0.3 * p[:, 2]
+
+
+def smooth4(p):
+    return np.cos(p[:, 0]) * np.exp(0.5 * p[:, 1]) + p[:, 2] * p[:, 3]
+
+
+BOX4 = dict(lo=[-1.0] * 4, hi=[1.0] * 4, h=0.5)
+
+
+class TestLexFronts:
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.box([0.0], [1.0], 1 / 8),
+        dh.GridDomain.box([0.0, 0.0], [1.0, 0.75], 1 / 8),
+        dh.GridDomain.box([0.0] * 3, [1.0, 0.75, 1.25], 1 / 4),
+        dh.GridDomain.box([0.0] * 4, [1.0, 0.75, 1.25, 1.0], 1 / 4),
+        dh.GridDomain.ball(1.0, 1 / 8, dim=1),
+        dh.GridDomain.ball(1.0, 1 / 8, center=[0.1, -0.2]),
+        dh.GridDomain.ball(1.0, 1 / 4, dim=3),
+        dh.GridDomain.ball(1.0, 1 / 2, dim=4),
+    ], ids=lambda d: f"{d.kind}{d.n}")
+    def test_fronts_are_dependency_fronts(self, dom):
+        # no two nodes of a front are stencil neighbours, every lex-earlier
+        # neighbour lies in an earlier front and every lex-later one in a
+        # later front
+        st = dh._build_stencil(dom, lambda p: np.zeros(len(p)))
+        fronts = dh._lex_fronts(st)
+        rows = np.concatenate(fronts)
+        assert np.array_equal(np.sort(rows), np.arange(st.flat_interior.size))
+        front_of = np.full(dom.interior.size, -1)
+        for k, front in enumerate(fronts):
+            front_of[st.flat_interior[front]] = k
+        multi = np.argwhere(dom.interior)          # lex order, as flat_interior
+        mine = front_of[st.flat_interior]
+        zero = (0,) * dom.n
+        offsets = [o for o in itertools.product((-1, 0, 1), repeat=dom.n)
+                   if 1 <= np.count_nonzero(o) <= 2]
+        assert len(offsets) == 2 * dom.n * dom.n
+        for offset in offsets:
+            nbs = np.ravel_multi_index((multi + offset).T, dom.shape)
+            inner = dom.interior.ravel()[nbs]
+            theirs, own = front_of[nbs[inner]], mine[inner]
+            if offset < zero:
+                assert (theirs < own).all()
+            else:
+                assert (theirs > own).all()
+
+    # sha256 of u.values and the sweep count, computed with the node-by-node
+    # lex sweep: the fronts must reproduce it bit for bit wherever the
+    # margin is a closed form or linear
+    @pytest.mark.parametrize("name, n, dom, phi, kwargs, digest, sweeps", [
+        ("P_EI", 4, dh.GridDomain.box(**BOX4), smooth4, {},
+         "9c7cf994aefd82d3109dad4b44c6623c9c563126e19cb472f1e040e440c583c6", 43),
+        ("P", 2, dh.GridDomain.box([-1.0] * 2, [1.0] * 2, 1 / 8), smooth2, {},
+         "9cc69ed8b41f35d24d598d3cbda60414ebde1dd31735b10556c424f5ee1886d1", 572),
+        ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2, {},
+         "5c68f1c2a0fc590d4110bf4442b717ecbc0bb8cdd56393d76a91b88f7d6771f7", 126),
+        ("laplace", 2, dh.GridDomain.ball(1.0, 1 / 16), smooth2, {},
+         "04b564fcd86f8fb4c3be33d1add2ed162d897dea79c0f6889ccb02085d8dbfd0", 128),
+        ("P_C", 4, dh.GridDomain.box(**BOX4), smooth4, {},
+         "dae3117c557c6cb123edcd10a4316910e5a6eae8ad813cc8d721e4ad3d11fef8", 40),
+        ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2,
+         {"use_bisection": True, "tol": 1e-7},
+         "ff03ba0b7cc44c84bca78897f108c1ef7fd7e9f5a6e9fabea931f7bc11b4bea0", 97),
+        ("P", 3, dh.GridDomain.ball(1.0, 1 / 4, dim=3), smooth3, {"tol": 1e-7},
+         "9ecbd4e20bb0448babd785953917758604a805ae2c4420c8e444a6f0ce91d374", 96),
+    ], ids=["P_EI4-box", "P2-box", "P2-disk", "laplace2-disk-sor", "P_C4-box",
+            "P2-disk-bisection", "P3-ball"])
+    def test_pinned_lex_solves(self, name, n, dom, phi, kwargs, digest, sweeps):
+        kwargs = {"tol": 1e-9, **kwargs}
+        u, info = dh.perron_solve(cat.build_cone(name, n), dom, phi,
+                                  ordering="lex", **kwargs)
+        assert info.converged and info.sweeps == sweeps
+        assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
 
 
 def dense_jacobi_radius(dom, weights):

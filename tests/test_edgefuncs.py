@@ -56,6 +56,21 @@ class TestEdgeQuadratic:
         for p, v in zip(pts, vals):
             assert h(p) == pytest.approx(v)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_matches_three_operand_formula(self, rng, n):
+        # the quadratic term is evaluated as rowsum((x B) * x); it must agree
+        # with the plain x' B x to rounding, relative to |B| |x|^2
+        for scale in (1e-3, 1.0, 1e3):
+            raw = rng.normal(size=(n, n)) * scale
+            curv = raw + raw.T
+            h = ef.EdgeQuadratic(rng.normal(), rng.normal(size=n), curv)
+            pts = rng.normal(size=(4225, n)) * rng.uniform(0.1, 10.0, size=(4225, 1))
+            old = (h.c + pts @ h.b
+                   + 0.5 * np.einsum("pi,ij,pj->p", pts, curv, pts))
+            bound = 1e-14 * (1.0 + np.linalg.norm(curv) * (pts ** 2).sum(axis=1))
+            assert (np.abs(h(pts) - old) <= bound).all()
+            assert h(pts[0]) == pytest.approx(old[0], rel=0, abs=bound[0])
+
 
 class TestSampling:
     def test_affine_family(self):
