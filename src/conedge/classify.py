@@ -113,8 +113,9 @@ def invariance_residuals(edge: SymSubspace, sampler, samples: int, seed: int
 
 
 def invariance_check(edge: SymSubspace, sampler, samples: int = 100,
-                     seed: int = 0, tol: float = INVARIANCE_TOL) -> bool:
-    return bool(invariance_residuals(edge, sampler, samples, seed).max() <= tol)
+                     seed: int = 0) -> bool:
+    resid = invariance_residuals(edge, sampler, samples, seed)
+    return bool(resid.max() <= INVARIANCE_TOL)
 
 
 EXPECTED_COUNTS = {"on": 2, "un": 4, "spn_sp1": 4, "spn_s1": 16}

@@ -79,6 +79,13 @@ def read_matrix_file(path) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    if int(text) < 1:  # argparse reports a ValueError from int() itself
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _apply_config(argv, args, parser):
     """Parse again with each config line `key = value` appended as the flag
     `--key=value`, or for a switch `--key` added (true) or removed (false):
@@ -404,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-cone", help="structural checks for a named cone")
     p.add_argument("--name", required=True)
     p.add_argument("--n", type=int, default=None, help="ambient real dimension")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_check_cone)
 
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["on", "un", "spn-sp1", "spn-s1"])
     p.add_argument("--n", type=int, default=2,
                    help="coordinate count (real/complex/quaternionic)")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive_int, default=100)
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, default=1.0)
         p.add_argument("--phi", default="affine")
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-sweeps", type=int, default=20000, dest="max_sweeps")
+        p.add_argument("--max-sweeps", type=positive_int, default=20000, dest="max_sweeps")
         p.add_argument("--ordering", default="redblack", choices=["lex", "redblack"])
 
     p = sub.add_parser("solve", help="sweep the grid Dirichlet problem")
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("envelope", help="edge-quadratic envelope vs solution")
     solver_flags(p)
-    p.add_argument("--nodes", type=int, default=50)
+    p.add_argument("--nodes", type=positive_int, default=50)
     common(p)
     p.set_defaults(func=cmd_envelope)
 

@@ -50,6 +50,11 @@ THETA_FLOOR = 0.05
 LP_TOL = 1e-8
 
 
+def _check_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Regular lattice over a box or ball with interior/boundary masks."""
@@ -71,6 +76,7 @@ class GridDomain:
         n = lo.size
         if not 1 <= n <= 4:
             raise ValueError("grid dimension must be 1..4")
+        _check_positive("h", h)
         counts = []
         for a, b in zip(lo, hi):
             m = (b - a) / h
@@ -93,6 +99,8 @@ class GridDomain:
         n = center.size
         if not 1 <= n <= 4:
             raise ValueError("grid dimension must be 1..4")
+        _check_positive("radius", radius)
+        _check_positive("h", h)
         half = int(np.ceil(radius / h)) + 2
         shape = tuple([2 * half + 1] * n)
         origin = center - half * h
@@ -374,7 +382,7 @@ def discrete_hessian(u: GridField, index) -> np.ndarray:
     return central_differences(u, index)[1]
 
 
-def _refresh_axis_ghosts(stencil: _Stencil, flat_vals: np.ndarray):
+def _refresh_ghosts(stencil: _Stencil, flat_vals: np.ndarray):
     """Set every ghost, axis and corner, from its owners (mean over owner
     constraints); node updates read the corner ghosts, lagged."""
     if stencil.dom.kind != "ball" or stencil.g_flat.size == 0:
@@ -410,15 +418,15 @@ def _jacobi_radius(dom: GridDomain, weights: np.ndarray) -> float:
 
 def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = None,
                  max_sweeps: int = 20000, ordering: str = "lex",
-                 init: str = "max", history_every: int = 1,
+                 history_every: int = 1,
                  use_bisection: bool = False) -> tuple[GridField, SolveInfo]:
     """Sweep until every interior discrete Hessian sits on the cone boundary.
 
     ordering "lex" gives the iterates of a node-by-node lexicographic
     sweep, updating one dependency front at a time (see _lex_fronts);
     "redblack" updates the two parity classes as vectorized half-sweeps
-    (same fixed point within tol).  init ("max", "min" or "zero") picks
-    the constant start value.
+    (same fixed point within tol).  Interior nodes start at the largest
+    boundary value.
 
     Each node moves to the root of its margin along the node pencil (see
     the module docstring): in closed form for linear margins and where d
@@ -445,29 +453,21 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         raise ValueError("phi must be callable on coordinate arrays")
     if ordering not in ("lex", "redblack"):
         raise ValueError(f"ordering must be 'lex' or 'redblack', got {ordering!r}")
-    if init not in ("max", "min", "zero"):
-        raise ValueError(f"init must be 'max', 'min' or 'zero', got {init!r}")
     b_vals = boundary_values(dom, phi)
     bad = int(np.count_nonzero(~np.isfinite(b_vals)))
     if bad:
         raise ValueError(f"phi gives {bad} non-finite boundary values")
+    if tol is None:
+        tol = 1e-9 * (1.0 + float(np.abs(b_vals).max() if b_vals.size else 1.0))
+    _check_positive("tol", tol)
     stencil = _build_stencil(dom, phi)
 
     vals = np.zeros(dom.shape)
     vals[dom.boundary] = b_vals
-    scale = 1.0 + float(np.abs(b_vals).max() if b_vals.size else 1.0)
-    if tol is None:
-        tol = 1e-9 * scale
-    if init == "max":
-        start = float(b_vals.max()) if b_vals.size else 0.0
-    elif init == "min":
-        start = float(b_vals.min()) if b_vals.size else 0.0
-    else:
-        start = 0.0
-    vals[dom.interior] = start
+    vals[dom.interior] = float(b_vals.max()) if b_vals.size else 0.0
 
     flat = vals.ravel()
-    _refresh_axis_ghosts(stencil, flat)
+    _refresh_ghosts(stencil, flat)
 
     h2 = dom.h * dom.h
     lin_w = cone.linear_margin_weight
@@ -545,10 +545,10 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
             steps = [update_rows(rows) for rows in fronts]
         else:
             steps = [update_rows(red_rows)]
-            _refresh_axis_ghosts(stencil, flat)
+            _refresh_ghosts(stencil, flat)
             steps.append(update_rows(black_rows))
         worst, residual = np.max(steps, axis=0)
-        _refresh_axis_ghosts(stencil, flat)
+        _refresh_ghosts(stencil, flat)
         if sweeps % history_every == 0:
             history.append((sweeps, float(worst)))
         if worst < tol:
@@ -570,8 +570,9 @@ class EnvelopeOrderingError(RuntimeError):
 
 
 def _ball_crossing_points(dom: GridDomain) -> np.ndarray:
-    """Sphere crossings of axis segments leaving the ball; these are the
-    exact points where the solver imposes its data."""
+    """Sphere crossings of axis segments leaving the ball.  The solver's
+    data points differ: it floors each crossing fraction at THETA_FLOOR,
+    and it also imposes data where diagonal (corner) segments cross."""
     inside = dom.interior
     idx_in = np.argwhere(inside)
     xs = dom.origin + idx_in * dom.h

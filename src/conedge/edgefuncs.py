@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import EdgeCone
+from .cones import EdgeCone, edge_translate_margin
 from .dirichlet import GridField, central_differences
 from .symspace import SymSubspace, as_rng, frob_norm, from_coords, subspace_project
 
@@ -137,7 +137,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index, *,
     idx = tuple(int(i) for i in np.atleast_1d(index))
     grad, a = central_differences(u, idx)
     tol = 1e-7 * (1.0 + frob_norm(a))
-    margin, e_translate, p_part, stalled = cone.decompose(-a)
+    margin, e_translate, _, stalled = edge_translate_margin(-a, cone.edge)
     if margin <= tol:
         return None  # -A is not interior: the node passes the dual test
     if stalled:
@@ -149,7 +149,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index, *,
     # absolute-coordinate coefficients with h(x0) = u0, Dh(x0) = grad
     b = grad - curv @ x0
     c = u0 - grad @ x0 + 0.5 * x0 @ curv @ x0
-    alpha = 0.5 * float(np.linalg.eigvalsh(p_part)[0])
+    alpha = 0.5 * float(np.linalg.eigvalsh(-a - e_translate)[0])  # PD part
     r = ring_spacings * dom.h
     h_quad = EdgeQuadratic(c - alpha * r * r, b, subspace_project(cone.edge, curv))
 

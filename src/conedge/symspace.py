@@ -32,19 +32,19 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sym_matrix(entries, rtol: float = SYM_RTOL) -> np.ndarray:
+def sym_matrix(entries) -> np.ndarray:
     """Validate a square array as symmetric; return the symmetrized copy.
 
-    Asymmetry beyond rtol * (1 + max|entry|) is an error, smaller asymmetry
-    is silently averaged away.
+    Asymmetry beyond SYM_RTOL * (1 + max|entry|) is an error, smaller
+    asymmetry is silently averaged away.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return sym_stack(a[None], rtol)[0].copy()
+    return sym_stack(a[None])[0].copy()
 
 
-def sym_stack(entries, rtol: float = SYM_RTOL) -> np.ndarray:
+def sym_stack(entries) -> np.ndarray:
     """sym_matrix on each matrix of an (m, n, n) stack, each judged on its
     own scale.  An exactly symmetric stack is returned as it is, without a
     copy; otherwise the symmetrized copy."""
@@ -61,7 +61,7 @@ def sym_stack(entries, rtol: float = SYM_RTOL) -> np.ndarray:
         return a
     m = a.shape[0]
     skew = np.abs(a - at).reshape(m, -1).max(axis=1)
-    if np.any(skew > rtol * (1.0 + np.abs(a).reshape(m, -1).max(axis=1))):
+    if np.any(skew > SYM_RTOL * (1.0 + np.abs(a).reshape(m, -1).max(axis=1))):
         raise ValueError(f"input is not symmetric (asymmetry {skew.max():.3e})")
     return 0.5 * (a + at)
 

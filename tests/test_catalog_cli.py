@@ -442,6 +442,30 @@ class TestCli:
         assert a.stat().st_size > 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["check-cone", "--name", "P", "--budget", "-5"],
+        ["classify", "--group", "on", "--samples", "0"],
+        ["envelope", "--cone", "P", "--nodes", "0"],
+        ["solve", "--cone", "P", "--max-sweeps", "0"],
+    ], ids=["budget", "samples", "nodes", "max-sweeps"])
+    def test_count_flags_must_be_positive(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_count_flags_from_config_must_be_positive(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["check-cone", "--name", "P", "--config", str(cfg), "--dry-run"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "envelope"])
+    def test_zero_spacing_is_a_usage_error(self, command, capsys):
+        assert run_cli([command, "--cone", "P", "--h", "0", "--dry-run"]) == 2
+        assert "h must be positive and finite" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve"])  # missing required --cone

@@ -571,6 +571,19 @@ class TestMinimalityChecks:
         report = cn.check_minimality(cone, budget=60, seed=3)
         assert report["passed"], report
 
+    @pytest.mark.parametrize("shift", [0.5, -0.5])
+    def test_check_minimality_catches_a_shifted_margin(self, shift):
+        # the P_C(4) edge with its closed form moved off the translate
+        # kernel's margin: check (ii) sees verdicts that the positive
+        # parts contradict
+        comps = st.irreducible_components(st.Group("un", 4))
+        closed = cat.build_cone("P_C", 4)._fast_margin
+        cone = cn.EdgeCone(comps["c_skew"], check=False,
+                           fast_margin=lambda s: closed(s) + shift)
+        report = cn.check_minimality(cone, budget=60, seed=3)
+        assert report["checks"]["interior_decomposition"] == {"failures": 6, "total": 60}
+        assert not report["passed"]
+
     def test_self_duality_verdicts(self):
         assert cn.self_duality_check(cat.build_cone("P", 2), budget=100)["self_dual"]
         assert cn.self_duality_check(cat.build_cone("laplace", 2), budget=100)["self_dual"]

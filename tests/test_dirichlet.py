@@ -46,6 +46,18 @@ class TestGridDomain:
         with pytest.raises(ValueError):
             dh.GridDomain.box([0.0] * 5, [1.0] * 5, 0.5)
 
+    @pytest.mark.parametrize("h", [0.0, -0.25, np.nan, np.inf])
+    def test_bad_spacing_named(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            dh.GridDomain.box([0.0], [1.0], h)
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            dh.GridDomain.ball(1.0, h)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_radius_named(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            dh.GridDomain.ball(radius, 0.25)
+
 
 class TestDiscreteHessian:
     def test_quadratic_exact(self, rng):
@@ -474,7 +486,10 @@ class TestSolverInput:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"ordering": "zigzag"}, "ordering"),
-        ({"init": "mean"}, "init"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-9}, "tol"),
+        ({"tol": np.nan}, "tol"),
+        ({"tol": np.inf}, "tol"),
     ])
     def test_bad_options(self, no_stencil, kwargs, name):
         lap = cat.build_cone("laplace", 2)
