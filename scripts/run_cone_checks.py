@@ -9,11 +9,12 @@ import argparse
 
 from conedge import catalog as cat
 from conedge import cones as cn
+from conedge.cli import positive_int
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budget", type=int, default=300)
+    ap.add_argument("--budget", type=positive_int, default=300)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

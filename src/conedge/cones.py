@@ -451,8 +451,9 @@ class ConeHandle:
         return self._margin_batch(self._checked(a_stack, "margin_batch", stack=True))
 
     def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        """Margins of a checked stack."""
-        raise NotImplementedError
+        """Margins of a checked stack; unless a handle has a batch kernel,
+        each matrix's single margin."""
+        return np.array([self._margin_with_witness(a)[0] for a in a_stack])
 
     @property
     def id_shift_slope(self) -> float:
@@ -553,7 +554,7 @@ class EdgeCone(ConeHandle):
 class HalfspaceCone(ConeHandle):
     """{A : <A, N> >= 0} for a unit-norm PSD normal N."""
 
-    def __init__(self, normal: np.ndarray, *, name: str | None = None):
+    def __init__(self, normal: np.ndarray):
         normal = np.asarray(normal, dtype=float)
         nrm = frob_norm(normal)
         if nrm < 1e-14:
@@ -565,7 +566,6 @@ class HalfspaceCone(ConeHandle):
         self.n = normal.shape[0]
         self.normal = normal
         self.linear_margin_weight = normal
-        self.name = name
         self._edge = None
         self._span = None
 
@@ -589,15 +589,14 @@ class HalfspaceCone(ConeHandle):
 class GeometricCone(ConeHandle):
     """{A : tr(A|_W) >= 0 over a plane family}, probed by sampling.
 
-    The frame cache is drawn once per handle (seeded); single margins take
-    the cached minimum and refine the best few frames by projected descent
-    with backtracking.  margin_batch is the cached minimum alone, without
-    that descent.
+    The frame cache is drawn once per handle (seeded); a margin takes the
+    cached minimum and refines the best few frames by projected descent
+    with backtracking.  margin_batch is ConeHandle's: that same margin on
+    each matrix of the stack, so a single margin is the batch of one.
     """
 
     def __init__(self, family: st.PlaneFamily, *, budget: int = 2000,
-                 descents: int = 50, descent_steps: int = 60,
-                 seed: int = 0, name: str | None = None):
+                 descents: int = 50, descent_steps: int = 60, seed: int = 0):
         if budget < 1:
             raise ValueError("sample budget must be positive")
         self.n = family.ambient
@@ -606,7 +605,6 @@ class GeometricCone(ConeHandle):
         self.descents = descents
         self.descent_steps = descent_steps
         self.seed = seed
-        self.name = name
         self._algebra = _algebra_projector(family)
         self._sampler = st.plane_sampler(family)
         self._frames = None
@@ -631,11 +629,6 @@ class GeometricCone(ConeHandle):
         return self._projectors
 
     # margins -------------------------------------------------------------
-    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        k = self.family.plane_dim
-        vals = np.einsum("fij,mji->mf", self.projectors(), a_stack) / k
-        return vals.min(axis=1)
-
     def _margin_with_witness(self, a: np.ndarray):
         k = self.family.plane_dim
         vals = np.einsum("fij,ji->f", self.projectors(), a) / k
@@ -805,7 +798,6 @@ def _zero_extension_check(cone: ConeHandle, support: np.ndarray, samples: int, s
     """Membership of B on the support must match membership of its
     zero-extension to the full space."""
     k = support.shape[0]
-    n = cone.n
     rng = as_rng(seed)
     edge = cone.edge_of()
     # restricted edge: compress the edge basis onto the support coordinates;
@@ -815,39 +807,39 @@ def _zero_extension_check(cone: ConeHandle, support: np.ndarray, samples: int, s
         [support @ b @ support.T for b in edge.basis], ambient_n=k,
         drop_rtol=10.0 * SUPPORT_ACCEPT ** 0.25,
     ) if edge.dim else zero_subspace(k)
-    failures = 0
-    checked = 0
-    rep = is_basic_edge(comp, seed=seed)
-    if not rep.basic:
+    if not is_basic_edge(comp, seed=seed).basic:
         return 0, 0  # restricted cone is not minimal-testable this way
-    small = EdgeCone(comp, check=False)
-    for _ in range(samples):
-        b = random_symmetric(k, rng)
-        inside_small = small.contains(b)
-        big = support.T @ b @ support
-        inside_big = cone.contains(big)
-        checked += 1
-        if inside_small.verdict != inside_big.verdict:
-            if Verdict.BOUNDARY in (inside_small.verdict, inside_big.verdict):
-                continue  # dead-band disagreement is not a failure
-            failures += 1
-    return checked, failures
+    small = np.array([random_symmetric(k, rng) for _ in range(samples)])
+    big = support.T @ small @ support
+    # opposite verdicts fail; a dead-band (boundary) verdict never does
+    signs = (stack_verdicts(EdgeCone(comp, check=False), small, 1.0)[0]
+             * stack_verdicts(cone, big, 1.0)[0])
+    return samples, int(np.sum(signs < 0))
 
 
 # ----------------------------------------------------------------------
 # sampling helpers
 # ----------------------------------------------------------------------
 
-def sample_member(cone: ConeHandle, rng) -> np.ndarray:
-    """Random element of the cone (edge translate plus a PSD part)."""
+def sample_members(cone: ConeHandle, rng, count: int) -> np.ndarray:
+    """(count, n, n) random elements of the cone, each an edge translate
+    plus a PSD part.  One normal block holds, row by row, the n*n entries of
+    each PSD factor and then its edge coordinates, so the stack and the
+    generator's final state equal those of count sample_member calls."""
     rng = as_rng(rng)
     n = cone.n
-    g = rng.normal(size=(n, n))
-    psd = g @ g.T / np.sqrt(n)
     edge = cone.edge_of()
+    draws = rng.normal(size=(count, n * n + edge.dim))
+    g = draws[:, :n * n].reshape(count, n, n)
+    psd = g @ g.transpose(0, 2, 1) / np.sqrt(n)
     if edge.dim == 0:
         return psd
-    return from_coords(edge, rng.normal(size=edge.dim)) + psd
+    return np.einsum("mk,kij->mij", draws[:, n * n:], edge.basis) + psd
+
+
+def sample_member(cone: ConeHandle, rng) -> np.ndarray:
+    """Random element of the cone (edge translate plus a PSD part)."""
+    return sample_members(cone, rng, 1)[0]
 
 
 def sample_polar_element(cone: ConeHandle, rng) -> np.ndarray:
@@ -884,27 +876,30 @@ def sample_polar_element(cone: ConeHandle, rng) -> np.ndarray:
 # sampled structural checks
 # ----------------------------------------------------------------------
 
-def polar_membership(cone: ConeHandle, a: np.ndarray, budget: int, seed: int):
-    """Bipolar sampling test: min <A, B> over sampled cone members.
+def stack_verdicts(cone: ConeHandle, stack, scale: float):
+    """contains's verdicts on a stack, from one margin_batch call.
 
-    The minimum over a doubled budget must agree in sign (at default_tol),
-    else the result is flagged unstable.
+    Returns (signs, tols): tol = scale * default_tol of each matrix, and
+    sign +1 where its margin is above tol (interior), -1 where it is below
+    -tol (outside), 0 in the dead band between (boundary).
     """
-    tol = default_tol(a)
-    rng = as_rng(seed)
+    stack = np.asarray(stack, dtype=float).reshape(-1, cone.n, cone.n)
+    margins = cone.margin_batch(stack)
+    tols = scale * np.array([default_tol(a) for a in stack])
+    return (margins > tols).astype(int) - (margins < -tols).astype(int), tols
 
-    def min_pairing(count):
-        worst = np.inf
-        for _ in range(count):
-            b = sample_member(cone, rng)
-            b = b / (1.0 + frob_norm(b))
-            worst = min(worst, float(np.einsum("ij,ji->", a, b)))
-        return worst
 
-    m1 = min_pairing(budget)
-    m2 = min(m1, min_pairing(budget))
-    stable = (m1 >= -tol) == (m2 >= -tol)
-    return m2, stable
+def _check_budget(budget) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+
+
+def polar_membership(cone: ConeHandle, a: np.ndarray, budget: int, seed: int) -> float:
+    """Bipolar sampling test: min <A, B / (1 + |B|)> over 2 * budget cone
+    members B, drawn as one block from a generator seeded by seed."""
+    b = sample_members(cone, seed, 2 * budget)
+    b /= 1.0 + np.linalg.norm(b, axis=(1, 2))[:, None, None]
+    return float(np.einsum("ij,mji->m", a, b).min())
 
 
 def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict:
@@ -917,7 +912,11 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict
           read off one translate_sdp call over all samples;
     (iii) polar = span cap positive cone, both directions sampled;
     (iv)  relative-interior polar elements are positive definite.
+
+    The samples of (i) and (ii) are drawn one at a time, in a fixed order;
+    each of the two stacks then gets its verdicts from stack_verdicts.
     """
+    _check_budget(budget)
     rng = as_rng(seed)
     n = cone.n
     edge = cone.edge_of()
@@ -926,37 +925,29 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict
               "budget": budget, "checks": {}, "passed": True}
 
     def log(key, failures, total, extra=None):
-        entry = {"failures": failures, "total": total}
+        entry = {"failures": int(failures), "total": total}
         if extra:
             entry.update(extra)
         report["checks"][key] = entry
         if failures:
             report["passed"] = False
 
-    # (i) reduced-hessian consistency
-    fails = 0
+    # (i) reduced-hessian consistency: A and its reduced form, side by side
+    pairs = []
     for _ in range(budget):
         a = random_symmetric(n, rng, scale=1.0)
-        tol = default_tol(a) * CHECK_TOL_SCALE
-        v1 = cone.contains(a, tol)
         shift = from_coords(edge, rng.normal(size=edge.dim)) if edge.dim else 0.0
-        v2 = cone.contains(subspace_project(span, a) + shift, tol)
-        if v1.verdict != v2.verdict and Verdict.BOUNDARY not in (v1.verdict, v2.verdict):
-            fails += 1
-    log("reduced_hessian", fails, budget)
+        pairs.append((a, subspace_project(span, a) + shift))
+    signs = stack_verdicts(cone, pairs, CHECK_TOL_SCALE)[0].reshape(budget, 2)
+    log("reduced_hessian", np.sum(signs[:, 0] * signs[:, 1] < 0), budget)
 
     # (ii) interior decomposition, both directions
-    fails = 0
     stack = np.array([sample_member(cone, rng) + 0.05 * np.eye(n) if t % 2 == 0
                       else random_symmetric(n, rng) for t in range(budget)])
-    positive_part_min = translate_sdp(stack.reshape(budget, n, n), edge.basis)[0]
-    for a, p_min in zip(stack, positive_part_min):
-        tol = default_tol(a) * CHECK_TOL_SCALE
-        verdict = cone.contains(a, tol).verdict
-        if verdict is Verdict.INTERIOR and p_min <= -tol:
-            fails += 1
-        if p_min > tol and verdict is Verdict.OUTSIDE:
-            fails += 1
+    positive_part_min = translate_sdp(stack, edge.basis)[0]
+    signs, tols = stack_verdicts(cone, stack, CHECK_TOL_SCALE)
+    fails = (np.sum((signs > 0) & (positive_part_min <= -tols))
+             + np.sum((positive_part_min > tols) & (signs < 0)))
     log("interior_decomposition", fails, budget)
 
     # (iii) polar identities
@@ -968,8 +959,7 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict
         except ValueError:
             break
         tol = default_tol(z) * CHECK_TOL_SCALE
-        worst, stable = polar_membership(cone, z, budget=64, seed=rng.integers(2**31))
-        if worst < -tol:
+        if polar_membership(cone, z, budget=64, seed=rng.integers(2**31)) < -tol:
             fails += 1
     for _ in range(half):
         a = random_symmetric(n, rng)
@@ -989,8 +979,7 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict
                 v = vec[:, 0]
                 found = np.einsum("i,ij,j->", v, a, v) < -tol
         if not found:
-            worst, _ = polar_membership(cone, a, budget=128, seed=rng.integers(2**31))
-            found = worst < -tol
+            found = polar_membership(cone, a, budget=128, seed=rng.integers(2**31)) < -tol
         if not found:
             fails += 1
     log("polar_identity", fails, 2 * half)
@@ -1015,6 +1004,7 @@ def self_duality_check(cone: ConeHandle, budget: int = 200, seed: int = 0) -> di
     polar?  Confirmed by sampling; refuted by a projected rank-one
     projector that fails to be PSD.
     """
+    _check_budget(budget)
     rng = as_rng(seed)
     n = cone.n
     span = cone.span_of()
@@ -1038,14 +1028,15 @@ def self_duality_check(cone: ConeHandle, budget: int = 200, seed: int = 0) -> di
 
 def check_dual_inclusion(cone: ConeHandle, budget: int = 1000, seed: int = 0) -> dict:
     """Sampled members of a minimal cone lie in its dual cone (verdicts at
-    CHECK_TOL_SCALE default_tol)."""
-    rng = as_rng(seed)
-    fails = 0
-    for _ in range(budget):
-        a = sample_member(cone, rng)
-        tol = default_tol(a) * CHECK_TOL_SCALE
-        if cone.dual_contains(a, tol).verdict is Verdict.OUTSIDE:
-            fails += 1
+    CHECK_TOL_SCALE default_tol).
+
+    The members are one sample_members block.  A is dual-outside when -A is
+    interior, so the failures are the interior verdicts of stack_verdicts on
+    the negated block.
+    """
+    _check_budget(budget)
+    stack = sample_members(cone, seed, budget)
+    fails = int(np.sum(stack_verdicts(cone, -stack, CHECK_TOL_SCALE)[0] > 0))
     return {"cone": getattr(cone, "name", None) or "anonymous",
             "budget": budget, "failures": fails, "passed": fails == 0}
 
@@ -1059,40 +1050,30 @@ def cross_validate_oracles(primary: ConeHandle, reference, budget: int = 1000,
     margin under either oracle falls below `margin_floor` in magnitude are
     dead-band cases and are skipped.  With `inclusion_only`, membership in
     the primary must imply membership in the reference, and reverse
-    counterexamples are only counted, never judged.
+    counterexamples are only counted, never judged.  The primary margins
+    come from one margin_batch call, the reference's one matrix at a time.
     """
+    _check_budget(budget)
     rng = as_rng(seed)
     n = primary.n
     ref_margin = reference.margin if isinstance(reference, ConeHandle) else reference
     agree = disagree = skipped = 0
     reverse_candidates = 0
     examples = []
-    for t in range(budget):
-        if t % 3 == 0:
-            a = sample_member(primary, rng)
-        else:
-            a = random_symmetric(n, rng)
-        m1 = primary.margin(a)
+    stack = np.array([sample_member(primary, rng) if t % 3 == 0
+                      else random_symmetric(n, rng) for t in range(budget)])
+    for a, m1 in zip(stack, primary.margin_batch(stack)):
         m2 = float(ref_margin(a))
         if min(abs(m1), abs(m2)) <= margin_floor:
             skipped += 1
-            continue
-        if inclusion_only:
-            if m1 > 0 and m2 < 0:
-                disagree += 1
-                if len(examples) < 5:
-                    examples.append(a.tolist())
-            elif m2 > 0 and m1 < 0:
-                reverse_candidates += 1
-            else:
-                agree += 1
+        elif (m1 > 0) == (m2 > 0):
+            agree += 1
+        elif inclusion_only and m2 > 0:  # reference only: not judged
+            reverse_candidates += 1
         else:
-            if (m1 > 0) == (m2 > 0):
-                agree += 1
-            else:
-                disagree += 1
-                if len(examples) < 5:
-                    examples.append(a.tolist())
+            disagree += 1
+            if len(examples) < 5:
+                examples.append(a.tolist())
     out = {
         "cone": getattr(primary, "name", None) or "anonymous",
         "budget": budget, "agree": agree, "disagree": disagree,

@@ -20,6 +20,7 @@ from .symspace import SymSubspace, as_rng, frob_norm, from_coords, subspace_proj
 
 EDGE_RESID_RTOL = 1e-9
 CONSTRUCT_RTOL = 1e-6
+RING_SPACINGS = 3  # witness ring radius, in grid spacings
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ class ViolationWitness:
         return self.ring_excess <= slack and self.center_excess > 0.5 * self.margin
 
 
-def violation_witness(u: GridField, cone: EdgeCone, index, *,
-                      ring_spacings: int = 3) -> ViolationWitness | None:
+def violation_witness(u: GridField, cone: EdgeCone, index) -> ViolationWitness | None:
     """Quadratic witness that u is not dually subharmonic at a node.
 
     When the negated discrete Hessian is interior to the cone it splits as
@@ -150,7 +150,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index, *,
     b = grad - curv @ x0
     c = u0 - grad @ x0 + 0.5 * x0 @ curv @ x0
     alpha = 0.5 * float(np.linalg.eigvalsh(-a - e_translate)[0])  # PD part
-    r = ring_spacings * dom.h
+    r = RING_SPACINGS * dom.h
     h_quad = EdgeQuadratic(c - alpha * r * r, b, subspace_project(cone.edge, curv))
 
     # ring check: nodes at distance in [r, r + 2h) from the center

@@ -133,14 +133,14 @@ class SymSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def validate(self, tol: float = GRAM_TOL) -> None:
+    def validate(self) -> None:
         k = self.dim
         if k > self.ambient_n * (self.ambient_n + 1) // 2:
             raise ValueError("basis longer than dim Sym2")
         if k:
             flat = self.basis.reshape(k, -1)
             gram = flat @ flat.T
-            if np.abs(gram - np.eye(k)).max() > tol:
+            if np.abs(gram - np.eye(k)).max() > GRAM_TOL:
                 raise ValueError("basis is not orthonormal")
             skew = np.abs(self.basis - np.transpose(self.basis, (0, 2, 1))).max()
             if skew > 1e-10:

@@ -333,6 +333,12 @@ class TestCli:
         assert {"basic_edge", "support", "minimality", "self_duality",
                 "dual_inclusion"} <= names
 
+    @pytest.mark.parametrize("budget", ["1", "3"])
+    @pytest.mark.parametrize("name", ["P", "P_EI"])
+    def test_check_cone_small_budget(self, name, budget):
+        # budget // 4 is 0: the positivity spot check runs an empty stack
+        assert run_cli(["check-cone", "--name", name, "--budget", budget]) == 0
+
     def test_classify_cli(self, capsys):
         code = run_cli(["classify", "--group", "spn-s1", "--n", "1",
                         "--samples", "15"])

@@ -204,6 +204,49 @@ class TestMarginBatchInputChecks:
             cone.margin_batch(np.array([np.eye(3)]))
 
 
+class TestBatchOfOne:
+    """margin_batch(stack)[i] is margin(stack[i]) on every kind of handle,
+    and stack_verdicts gives contains's verdicts."""
+
+    CONES = {
+        "closed_form": lambda: cat.build_cone("P_C", 4),
+        "closed_form_p_ei": lambda: cat.build_cone("P_EI", 4),
+        "translate_kernel": lambda: cn.EdgeCone(
+            st.irreducible_components(st.Group("un", 4))["c_skew"], check=False),
+        "halfspace": lambda: cn.HalfspaceCone(np.diag([1.0, 0.5, 0.0, 2.0])),
+        "geometric": lambda: cn.GeometricCone(st.PlaneFamily("lag", 4), budget=300),
+    }
+    SIGN = {cn.Verdict.INTERIOR: 1, cn.Verdict.BOUNDARY: 0, cn.Verdict.OUTSIDE: -1}
+
+    @pytest.fixture(params=sorted(CONES))
+    def cone(self, request):
+        return self.CONES[request.param]()
+
+    def test_batch_equals_single(self, cone, rng):
+        stack = np.array([ss.random_symmetric(4, rng) + rng.uniform(-4.0, 4.0) * np.eye(4)
+                          for _ in range(30)])
+        # half of them moved onto the boundary, into the dead band
+        stack[::2] -= np.array([cone.margin(a) / cone.id_shift_slope
+                                for a in stack[::2]])[:, None, None] * np.eye(4)
+        single = np.array([cone.margin(a) for a in stack])
+        scale = 1.0 + np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(cone.margin_batch(stack) - single) <= 1e-12 * scale)
+        signs = cn.stack_verdicts(cone, stack, 1.0)[0]
+        assert list(signs) == [self.SIGN[cone.contains(a).verdict] for a in stack]
+        assert 0 in signs and 1 in signs and -1 in signs
+
+    def test_kernel_batch_at_dimension_8(self, rng):
+        cone = cat.build_cone("P_HSYM", 8)
+        stack = np.array([ss.random_symmetric(8, rng) for _ in range(6)])
+        single = np.array([cone.margin(a) for a in stack])
+        scale = 1.0 + np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(cone.margin_batch(stack) - single) <= 1e-12 * scale)
+
+    def test_empty_stack(self, cone):
+        signs, tols = cn.stack_verdicts(cone, [], 1.0)
+        assert signs.shape == tols.shape == (0,)
+
+
 class TestOptimizerAgainstClosedForms:
     @pytest.mark.parametrize("name,n", [("P_C", 4), ("P_LAG", 4), ("P_H", 4),
                                         ("GL_IJK", 8), ("laplace", 3)])
@@ -583,6 +626,26 @@ class TestMinimalityChecks:
         report = cn.check_minimality(cone, budget=60, seed=3)
         assert report["checks"]["interior_decomposition"] == {"failures": 6, "total": 60}
         assert not report["passed"]
+
+    def test_check_dual_inclusion_catches_a_shifted_margin(self):
+        # the c_skew closed form raised by 2: -A is then interior for the
+        # members whose complex part has its top eigenvalue below 2, so they
+        # leave the dual cone (a shift of 0.5 leaves none of 60 out)
+        comps = st.irreducible_components(st.Group("un", 4))
+        closed = cat.build_cone("P_C", 4)._fast_margin
+        cone = cn.EdgeCone(comps["c_skew"], check=False,
+                           fast_margin=lambda s: closed(s) + 2.0)
+        report = cn.check_dual_inclusion(cone, budget=60, seed=3)
+        assert (report["failures"], report["passed"]) == (12, False)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("check", [
+        cn.check_minimality, cn.check_dual_inclusion, cn.self_duality_check,
+        lambda cone, budget: cn.cross_validate_oracles(cone, cone, budget=budget),
+    ], ids=["minimality", "dual_inclusion", "self_duality", "cross_validate"])
+    def test_budget_must_be_positive(self, check, budget):
+        with pytest.raises(ValueError, match="budget"):
+            check(cat.build_cone("P_C", 4), budget=budget)
 
     def test_self_duality_verdicts(self):
         assert cn.self_duality_check(cat.build_cone("P", 2), budget=100)["self_dual"]
