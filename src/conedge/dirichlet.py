@@ -10,6 +10,10 @@ the closed-form root h^2 m / (d slope), and any other row bisects inside
 the bracket [h^2 m / (slope max d), h^2 m / (slope min d)], vectorized
 over the rows of a red-black half-sweep or of a lex front (the nodes of
 one key sum_i (n - i) x_i, which never read each other; see _lex_fronts).
+A linear margin is a fixed affine map of the lattice values, so its rows
+read their margins from one sparse operator built once per solve
+(_linear_operator) instead of from Hessian stacks; the iteration and its
+omega are the same.
 
 Margins of the form <A, W> with diagonal W make the node update plain
 Gauss-Seidel on a 2-cyclic, consistently ordered linear system (both
@@ -68,6 +72,10 @@ class GridDomain:
     boundary: np.ndarray          # bool, full lattice shape
     radius: float | None = None
     center: np.ndarray | None = None
+    # (points, indices kept after deduplication) of the envelope's
+    # boundary samples, written once by _envelope_constraint_points
+    _envelope_geometry: tuple | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     @staticmethod
     def box(lo, hi, h: float) -> "GridDomain":
@@ -316,6 +324,14 @@ def _lex_fronts(stencil: _Stencil) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
+def _row_groups(stencil: _Stencil, ordering: str) -> list[np.ndarray]:
+    """The row sets one sweep updates in turn: the lex fronts, or the red
+    and the black parity class."""
+    if ordering == "lex":
+        return _lex_fronts(stencil)
+    return [np.flatnonzero(stencil.red_mask), np.flatnonzero(~stencil.red_mask)]
+
+
 def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Hessians H at the selected interior rows and the pencil
@@ -350,6 +366,52 @@ def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
     for idx, (i, j) in enumerate(stencil.pairs):
         out[:, i, j] = out[:, j, i] = cross[:, idx]
     return out, at(stencil.pencil_d)
+
+
+def _linear_operator(stencil: _Stencil, weight: np.ndarray):
+    """Sparse (rows x lattice) operator op and constant c with
+    op @ flat + c = <H, W> at every interior row, H as _node_pencil builds
+    it: each axis ghost enters as the row's own extrapolation
+    t + (phi - t) / theta, a diagonal term plus the constant phi / theta;
+    every other neighbour and every corner is read from the array."""
+    # scipy.sparse costs 20 MB and 0.2 s to import; only linear margins need it
+    from scipy import sparse
+
+    dom = stencil.dom
+    h2 = dom.h * dom.h
+    m = stencil.flat_interior.size
+    rows = np.arange(m)
+    center = np.zeros(m)
+    const = np.zeros(m)
+    r_parts, c_parts, v_parts = [rows], [stencil.flat_interior], []
+    for i in range(dom.n):
+        w = weight[i, i] / h2
+        if w == 0.0:
+            continue
+        center -= 2.0 * w
+        for nbs, ghost, theta, phi in (
+                (stencil.axis_plus, stencil.ghost_plus, stencil.theta_plus, stencil.phi_plus),
+                (stencil.axis_minus, stencil.ghost_minus, stencil.theta_minus, stencil.phi_minus)):
+            g = ghost[:, i]
+            center[g] += w * (1.0 - 1.0 / theta[g, i])
+            const[g] += w * phi[g, i] / theta[g, i]
+            r_parts.append(rows[~g])
+            c_parts.append(nbs[~g, i])
+            v_parts.append(np.full(r_parts[-1].size, w))
+    for idx, (i, j) in enumerate(stencil.pairs):
+        w = 2.0 * weight[i, j] / (4.0 * h2)
+        if w == 0.0:
+            continue
+        for table, sign in ((stencil.corner_pp, 1.0), (stencil.corner_mm, 1.0),
+                            (stencil.corner_pm, -1.0), (stencil.corner_mp, -1.0)):
+            r_parts.append(rows)
+            c_parts.append(table[:, idx])
+            v_parts.append(np.full(m, sign * w))
+    op = sparse.csr_matrix(
+        (np.concatenate([center] + v_parts),
+         (np.concatenate(r_parts), np.concatenate(c_parts))),
+        shape=(m, dom.interior.size))
+    return op, const
 
 
 def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
@@ -431,16 +493,20 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     Each node moves to the root of its margin along the node pencil (see
     the module docstring): in closed form for linear margins and where d
     is constant, else by bisection to tol h^2 / 10 inside the
-    identity-shift bracket.  For a margin <A, W> with diagonal W the sweeps
+    identity-shift bracket.  A linear margin <A, W> reads its row margins
+    from one sparse operator precomputed from the stencil, with the same
+    iteration and omega.  For a margin <A, W> with diagonal W the sweeps
     are over-relaxed with Young's optimal factor
     omega = 2 / (1 + sqrt(1 - rho^2)), where rho is the closed-form Jacobi
     radius of the grid (exact on boxes, an upper bound on balls); every
     other margin runs plain Gauss-Seidel (omega = 1).
 
     use_bisection=True is the Gauss-Seidel reference: omega = 1, and every
-    node bisects, also where the closed form is exact, inside the bracket
-    widened on each side by max(width, h^2); a bracket whose ends do not
-    carry opposite margin signs raises RuntimeError.
+    node, linear margins included, bisects on its Hessian stack, also where
+    the closed form is exact, inside the bracket widened on each side by
+    max(width, h^2); a bracket whose ends do not carry opposite margin
+    signs raises RuntimeError.  max_sweeps and history_every must be
+    positive integers.
 
     SolveInfo reports the factor used (omega), the largest update of the
     last sweep (max_update, the stopping quantity) and the largest
@@ -453,6 +519,9 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         raise ValueError("phi must be callable on coordinate arrays")
     if ordering not in ("lex", "redblack"):
         raise ValueError(f"ordering must be 'lex' or 'redblack', got {ordering!r}")
+    for name, count in (("max_sweeps", max_sweeps), ("history_every", history_every)):
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     b_vals = boundary_values(dom, phi)
     bad = int(np.count_nonzero(~np.isfinite(b_vals)))
     if bad:
@@ -471,6 +540,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
 
     h2 = dom.h * dom.h
     lin_w = cone.linear_margin_weight
+    linear = lin_w is not None and not use_bisection
     slope = cone.id_shift_slope
     # the solver's Hessian stacks are symmetric and finite by construction,
     # so they skip margin_batch's input check unless a cone overrides it
@@ -483,8 +553,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     sweeps, worst, residual = 0, 0.0, 0.0
 
     omega = 1.0
-    if (lin_w is not None and not use_bisection
-            and np.count_nonzero(lin_w - np.diag(np.diag(lin_w))) == 0):
+    if linear and np.count_nonzero(lin_w - np.diag(np.diag(lin_w))) == 0:
         rho = _jacobi_radius(dom, np.diag(lin_w))
         omega = 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
 
@@ -498,12 +567,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         den_lo = slope * stencil.pencil_d.max(axis=1)
         den_hi = slope * stencil.pencil_d.min(axis=1)
 
-    def update_rows(rows: np.ndarray) -> tuple[float, float]:
-        """Move each row's center by its root shift s of
-        margin(H - s diag(d) / h^2); returns the largest change and the
-        largest |margin| before the move."""
-        if rows.size == 0:
-            return 0.0, 0.0
+    def pencil_shift(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's margin and root shift s of margin(H - s diag(d) / h^2)."""
         a0, d = _node_pencil(stencil, flat, rows)
         m0 = margins(a0)
 
@@ -530,23 +595,40 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
             hi[open_] = np.where(up, hi_o, mid)
             # a row also stops once its bracket has no float strictly inside
             open_ = open_[(hi[open_] - lo[open_] > tol_s) & (lo_o < mid) & (mid < hi_o)]
+        return m0, 0.5 * (lo + hi)
+
+    groups = _row_groups(stencil, ordering)
+    if linear:
+        # a linear margin is a fixed map of the lattice values: one sparse
+        # row block per group gives its margins, and the shift is exact
+        op, const = _linear_operator(stencil, lin_w)
+        blocks = [(op[rows], const[rows], den_lo[rows]) for rows in groups]
+
+    def update_rows(k: int) -> tuple[float, float]:
+        """Move each row of group k by omega times its root shift; returns
+        the largest change and the largest |margin| before the move."""
+        rows = groups[k]
+        if rows.size == 0:
+            return 0.0, 0.0
+        if linear:
+            block, c, den = blocks[k]
+            m0 = block @ flat + c
+            shift = h2 * m0 / den
+        else:
+            m0, shift = pencil_shift(rows)
         f_idx = stencil.flat_interior[rows]
         t = flat[f_idx]
-        t_new = t + omega * 0.5 * (lo + hi)
+        t_new = t + omega * shift
         flat[f_idx] = t_new
         return float(np.abs(t_new - t).max()), float(np.abs(m0).max())
 
-    fronts = _lex_fronts(stencil) if ordering == "lex" else None
-    red_rows = np.flatnonzero(stencil.red_mask)
-    black_rows = np.flatnonzero(~stencil.red_mask)
-
     for sweeps in range(1, max_sweeps + 1):
         if ordering == "lex":
-            steps = [update_rows(rows) for rows in fronts]
+            steps = [update_rows(k) for k in range(len(groups))]
         else:
-            steps = [update_rows(red_rows)]
+            steps = [update_rows(0)]
             _refresh_ghosts(stencil, flat)
-            steps.append(update_rows(black_rows))
+            steps.append(update_rows(1))
         worst, residual = np.max(steps, axis=0)
         _refresh_ghosts(stencil, flat)
         if sweeps % history_every == 0:
@@ -590,17 +672,24 @@ def _ball_crossing_points(dom: GridDomain) -> np.ndarray:
 
 
 def _envelope_constraint_points(dom: GridDomain, phi) -> tuple[np.ndarray, np.ndarray]:
-    pts = dom.boundary_positions()
-    if dom.kind == "ball":
-        crossings = _ball_crossing_points(dom)
-        if crossings.size:
-            pts = np.vstack([pts, crossings])
-    vals = np.asarray(phi(pts), dtype=float)
-    # deduplicate (ball projections can collide)
-    key = np.round(pts / (dom.h * 1e-6))
-    _, keep = np.unique(key, axis=0, return_index=True)
-    keep.sort()
-    return pts[keep], vals[keep]
+    """Deduplicated boundary samples and phi there.  The geometry depends
+    on the domain alone, so it is built once and kept on the domain; phi is
+    evaluated on every call, at all points before deduplication."""
+    if dom._envelope_geometry is None:
+        pts = dom.boundary_positions()
+        if dom.kind == "ball":
+            crossings = _ball_crossing_points(dom)
+            if crossings.size:
+                pts = np.vstack([pts, crossings])
+        # deduplicate (ball projections can collide)
+        key = np.round(pts / (dom.h * 1e-6))
+        _, keep = np.unique(key, axis=0, return_index=True)
+        keep.sort()
+        pts.setflags(write=False)
+        keep.setflags(write=False)
+        object.__setattr__(dom, "_envelope_geometry", (pts, keep))
+    pts, keep = dom._envelope_geometry
+    return pts[keep], np.asarray(phi(pts), dtype=float)[keep]
 
 
 def edge_envelope(edge: SymSubspace, dom: GridDomain, phi, x, *,

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,3 +491,14 @@ class TestCli:
         assert fn3(pts).shape == (2,)
         with pytest.raises(ValueError):
             cli.make_boundary_function("nope", 2)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.sparse (linear solves) and scipy.optimize (envelope LPs) are
+    # imported where they run, not with the package
+    code = ("import sys, conedge.cli; "
+            "print([m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
