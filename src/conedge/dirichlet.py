@@ -692,53 +692,117 @@ def _envelope_constraint_points(dom: GridDomain, phi) -> tuple[np.ndarray, np.nd
     return pts[keep], np.asarray(phi(pts), dtype=float)[keep]
 
 
+def _envelope_lp(a, phi, t, m_bound):
+    """max t.y over a y <= phi, |y|_inf <= m_bound, by the revised simplex
+    on its dual min phi.lam + m_bound sum(mu+ + mu-) over lam, mu >= 0 with
+    a^T lam + mu+ - mu- = t.  The basis multipliers are y.  Dantzig's rule
+    picks the entering column; after d zero-ratio steps in a row Bland's
+    smallest-index rule takes over until a step moves, so pivots cannot cycle.
+    Returns (t.y, y, c_B.lam_B, pivots) once y is feasible and lam >= 0."""
+    m, d = a.shape
+    cols = np.vstack([a, np.eye(d), -np.eye(d)])
+    cost = np.concatenate([phi, np.full(2 * d, m_bound)])
+    basis = m + np.arange(d) + d * (t < 0)        # sign(t_i) e_i, lam_B = |t|
+    tol = 1e-9 * (1.0 + np.abs(phi).max())
+    eps = 1e-3 * tol + 1e-14 * m_bound
+    stalled = 0
+    for pivots in range(50 * d + m):
+        inv = np.linalg.inv(cols[basis].T)
+        lam, y = inv @ t, cost[basis] @ inv
+        red = cost - cols @ y
+        red[basis] = 0.0                          # zero but for rounding
+        bland = stalled >= d
+        j = int(np.argmax(red < -eps)) if bland else int(red.argmin())
+        if red[j] >= -eps:
+            break
+        # ratio test on d <= 14 entries: plain floats beat array calls here
+        w, mass = (inv @ cols[j]).tolist(), lam.tolist()
+        floor = 1e-9 * max(map(abs, w))
+        ratio = {i: max(mass[i], 0.0) / w[i] for i in range(d) if w[i] > floor}
+        if not ratio:
+            raise RuntimeError("envelope LP failed: the dual is unbounded, "
+                               "no y meets the constraints")
+        theta = min(ratio.values())
+        ties = [i for i, r in ratio.items() if r <= theta + 1e-15]
+        leave = min(ties, key=basis.__getitem__) if bland else max(ties, key=w.__getitem__)
+        basis[leave] = j
+        stalled = stalled + 1 if theta <= 1e-15 else 0
+    else:
+        raise RuntimeError(f"envelope LP failed: no optimum in {pivots + 1} pivots")
+    value, dual = float(t @ y), float(cost[basis] @ lam)
+    bad = [name for name, ok in (
+        ("a y <= phi", (a @ y - phi).max() <= tol),
+        ("|y| <= M", np.abs(y).max() <= m_bound + tol),
+        ("lam >= 0", lam.min() >= -tol),
+        ("t.y = c_B.lam_B", abs(value - dual) <= tol * (1.0 + abs(value))))
+        if not ok]
+    if bad:
+        raise RuntimeError(f"envelope LP failed: certificate breaks {', '.join(bad)}")
+    return value, y, dual, pivots
+
+
 def edge_envelope(edge: SymSubspace, dom: GridDomain, phi, x, *,
                   boundary_samples=None, m_bound: float | None = None,
                   check_stability: bool = True) -> tuple[float, dict]:
     """Largest value at x of a quadratic with curvature in the edge that
     stays below phi on the boundary samples.
 
-    Decision variables are the constant, the gradient, and coordinates of
-    the curvature in the edge basis; all constraints are linear, solved to
-    LP accuracy.  The box bound M on coefficients is a compactness proxy;
-    the result must be insensitive to doubling it, else it is flagged.
+    The decision variables y are the constant, the gradient and the
+    coordinates of the curvature in the edge basis, so each sample p gives
+    the linear constraint a_p.y <= phi(p), a_p = (1, p, q_E(p)), and the
+    objective is t.y, t = (1, x, q_E(x)).  The box bound |y|_inf <= M is a
+    compactness proxy; the result must be insensitive to doubling it, else
+    it is flagged.  The LP runs as a dense revised simplex on its dual:
+    a measure lam >= 0 on the samples whose mass, barycenter and edge
+    moments match those of the point mass at x up to slacks mu+, mu- >= 0,
+    sum_p lam_p a_p + mu+ - mu- = t, at cost phi.lam + M sum(mu+ + mu-).
+    The slack columns sign(t_i) e_i are a feasible start (big M, no
+    phase 1).  On exit y is feasible and lam >= 0, so t.y and the dual
+    cost bracket the optimum; a failed check raises RuntimeError.
+
+    info holds m_bound, stable, constraints (samples), pivots (over every
+    solve of the call), dual_bound (the dual cost at M) and coefficients
+    (the maximizing y: constant, gradient, edge coordinates).
     """
     n = dom.n
+    if edge.ambient_n != n:
+        raise ValueError(f"edge ambient {edge.ambient_n} != grid dimension {n}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be a finite point of shape ({n},), got {x!r}")
+    if m_bound is not None:
+        _check_positive("m_bound", m_bound)
     if boundary_samples is None:
         pts, vals = _envelope_constraint_points(dom, phi)
     else:
         pts = np.asarray(boundary_samples, dtype=float)
+        if not (pts.ndim == 2 and pts.shape[0] >= 1 and pts.shape[1] == n
+                and np.isfinite(pts).all()):
+            raise ValueError(f"boundary_samples must be a finite (p, {n}) array "
+                             f"with p >= 1, got shape {pts.shape}")
         vals = np.asarray(phi(pts), dtype=float)
+        if vals.shape != pts.shape[:1]:
+            raise ValueError(f"phi must give one value per boundary sample, "
+                             f"got shape {vals.shape} for {pts.shape[0]} samples")
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise ValueError(f"phi gives {bad} non-finite boundary values")
     if m_bound is None:
         m_bound = 1e3 * (1.0 + float(np.abs(vals).max()))
 
-    k = edge.dim
-    n_var = 1 + n + k
+    half_basis = 0.5 * edge.basis.reshape(edge.dim, n * n).T
 
     def quad_cols(points):
-        if k == 0:
-            return np.zeros((points.shape[0], 0))
-        return 0.5 * np.einsum("pi,kij,pj->pk", points, edge.basis, points)
+        return (points[:, :, None] * points[:, None, :]).reshape(-1, n * n) @ half_basis
 
-    a_ub = np.hstack([np.ones((pts.shape[0], 1)), pts, quad_cols(pts)])
-    b_ub = vals
-    target = np.concatenate([[1.0], x, quad_cols(x[None, :])[0]])
-
-    # scipy.optimize costs 48 MB and 0.3 s to import; only this LP needs it
-    from scipy.optimize import linprog
-
-    def solve(mb):
-        res = linprog(-target, A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(-mb, mb)] * n_var, method="highs")
-        if not res.success:
-            raise RuntimeError(f"envelope LP failed: {res.message}")
-        return float(-res.fun)
-
-    val = solve(m_bound)
-    info = {"m_bound": m_bound, "stable": True, "constraints": int(pts.shape[0])}
+    a = np.hstack([np.ones((pts.shape[0], 1)), pts, quad_cols(pts)])
+    t = np.concatenate([[1.0], x, quad_cols(x[None, :])[0]])
+    val, y, dual, pivots = _envelope_lp(a, vals, t, m_bound)
+    info = {"m_bound": m_bound, "stable": True, "constraints": int(pts.shape[0]),
+            "pivots": pivots, "dual_bound": dual, "coefficients": y}
     if check_stability:
-        val2 = solve(2.0 * m_bound)
+        val2, _, _, more = _envelope_lp(a, vals, t, 2.0 * m_bound)
+        info["pivots"] += more
         if abs(val2 - val) >= 1e-6 * (1.0 + abs(val)):
             info["stable"] = False
             info["value_at_2M"] = val2
@@ -772,6 +836,7 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
     pts, vals = _envelope_constraint_points(dom, phi)
 
     records = []
+    pivots = 0
     worst_violation = -np.inf
     max_gap = -np.inf
     tol = 1e-7 * (1.0 + float(np.abs(vals).max()))
@@ -781,6 +846,7 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
         env, env_info = edge_envelope(edge, dom, phi, x,
                                       boundary_samples=pts,
                                       check_stability=False)
+        pivots += env_info["pivots"]
         h_val = float(field_sol.values[idx])
         gap = h_val - env
         worst_violation = max(worst_violation, -gap)
@@ -797,6 +863,7 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
         "ordering_ok": bool(worst_violation <= allowed),
         "ordering_allowance": allowed,
         "solver_converged": info.converged,
+        "envelope_pivots": pivots,
         "records": records,
     }
     if worst_violation > allowed:

@@ -502,3 +502,16 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_envelope_runs_without_scipy_optimize():
+    # the envelope LP is conedge's own simplex; scipy.optimize stays unloaded
+    code = ("import sys, numpy as np; from conedge import catalog, dirichlet; "
+            "dom = dirichlet.GridDomain.ball(1.0, 0.25); "
+            "val, info = dirichlet.edge_envelope(catalog.build_cone('laplace', 2).edge_of(), "
+            "dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, np.array([0.25, 0.0])); "
+            "print(round(val, 9), info['stable'], 'scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0.0625", "True", "False"]

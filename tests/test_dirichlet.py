@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from conedge import catalog as cat
 from conedge import cones as cn
@@ -616,6 +617,35 @@ class TestEnvelope:
             vals.append(v)
         assert vals == sorted(vals)
 
+    @pytest.mark.parametrize("change, match", [
+        ({"phi": lambda p: np.where(p[:, 0] > 0, np.nan, 0.0)},
+         r"phi gives \d+ non-finite boundary values"),
+        ({"phi": lambda p: np.full(len(p), np.inf)}, "phi gives 16 non-finite"),
+        ({"x": np.zeros(3)}, r"x must be a finite point of shape \(2,\)"),
+        ({"x": np.array([0.0, np.nan])}, "x must be a finite point"),
+        ({"x": 0.0}, "x must be a finite point"),
+        ({"edge": ss.zero_subspace(3)}, "edge ambient 3 != grid dimension 2"),
+        ({"m_bound": 0.0}, "m_bound must be positive"),
+        ({"m_bound": -1.0}, "m_bound must be positive"),
+        ({"m_bound": np.nan}, "m_bound must be positive"),
+        ({"m_bound": np.inf}, "m_bound must be positive"),
+        ({"boundary_samples": np.zeros(4)}, r"boundary_samples must be a finite \(p, 2\)"),
+        ({"boundary_samples": np.zeros((4, 3))}, "boundary_samples must be"),
+        ({"boundary_samples": np.zeros((0, 2))}, "boundary_samples must be"),
+        ({"boundary_samples": np.array([[0.0, 1.0], [np.nan, 0.0]])},
+         "boundary_samples must be"),
+        ({"boundary_samples": np.ones((4, 2)), "phi": lambda p: 1.0},
+         "one value per boundary sample"),
+    ], ids=["phi-nan", "phi-inf", "x-size", "x-nan", "x-scalar", "edge-dim",
+            "m-zero", "m-negative", "m-nan", "m-inf", "samples-1d", "samples-width",
+            "samples-empty", "samples-nan", "phi-scalar"])
+    def test_bad_input(self, change, match):
+        args = {"edge": cat.build_cone("laplace", 2).edge_of(),
+                "dom": dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.5),
+                "phi": lambda p: p[:, 0], "x": np.zeros(2), **change}
+        with pytest.raises(ValueError, match=match):
+            dh.edge_envelope(**args)
+
     def test_envelope_report_psd_maxaff(self):
         # kinked data: both directions of the gap close at grid resolution
         cone = cat.build_cone("P", 2)
@@ -667,6 +697,166 @@ class TestEnvelope:
                                                 "tol": 1e-11},
                                  classical_gap_bound=True)
         assert rep["ordering_ok"] and rep["gap_ok"]
+
+
+def _linprog_envelope(edge, pts, vals, x, m_bound):
+    """The envelope LP in its primal form, solved by HiGHS: the reference.
+    HiGHS's default feasibility tolerances (1e-7, absolute) move its optimum
+    by about that much on data of size 1e-3, so they are tightened."""
+    from scipy.optimize import linprog
+    quad = lambda p: 0.5 * np.einsum("pi,kij,pj->pk", p, edge.basis, p)
+    a = np.hstack([np.ones((len(pts), 1)), pts, quad(pts)])
+    t = np.concatenate([[1.0], x, quad(x[None, :])[0]])
+    res = linprog(-t, A_ub=a, b_ub=vals, bounds=[(-m_bound, m_bound)] * t.size,
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return -res.fun, a, t
+
+
+def assert_matches_linprog(edge, dom, phi, x, **kwargs):
+    """edge_envelope's value equals linprog's to 1e-9 (1 + |v|), and its y
+    is feasible, attains the value and meets the dual bound."""
+    x = np.asarray(x, dtype=float)
+    val, info = dh.edge_envelope(edge, dom, phi, x, check_stability=False, **kwargs)
+    pts = kwargs.get("boundary_samples")
+    if pts is None:
+        pts = dh._envelope_constraint_points(dom, phi)[0]
+    vals = phi(pts)
+    ref, a, t = _linprog_envelope(edge, pts, vals, x, info["m_bound"])
+    tol = 1e-9 * (1.0 + abs(ref))
+    assert abs(val - ref) <= tol, (x, val, ref)
+    y = info["coefficients"]
+    assert (a @ y - vals).max() <= 1e-9 * (1.0 + np.abs(vals).max())
+    assert np.abs(y).max() <= info["m_bound"] * (1.0 + 1e-12)
+    assert abs(t @ y - val) <= tol and abs(info["dual_bound"] - val) <= tol
+    return val, info
+
+
+def _nodes(dom, count, seed):
+    """The center node and count - 1 seeded interior nodes, as points."""
+    idx = np.argwhere(dom.interior)
+    pick = np.random.default_rng(seed).choice(len(idx), size=count - 1, replace=False)
+    center = np.array(dom.shape) // 2
+    return [dom.origin + i * dom.h for i in [center, *idx[pick]]]
+
+
+class TestEnvelopeLP:
+    """The dense dual simplex of edge_envelope against scipy's HiGHS."""
+
+    @pytest.mark.parametrize("phi, x", [
+        (lambda p: np.ones(len(p)), 0.0),
+        (lambda p: (p[:, 0] + 1) / 2, 0.0),
+        (lambda p: (p[:, 0] + 1) / 2, 0.3),
+        (lambda p: np.abs(p[:, 0]) - 2.0, -0.7),
+    ], ids=["const", "affine-center", "affine-offcenter", "kink"])
+    def test_hand_lps(self, phi, x):
+        dom = dh.GridDomain.box([-1.0], [1.0], 0.5)
+        assert_matches_linprog(ss.zero_subspace(1), dom, phi, [x])
+
+    def test_box_bound_active(self):
+        # |y| <= 0.1 caps the constant below phi = 1
+        dom = dh.GridDomain.box([-1.0], [1.0], 0.5)
+        val, info = assert_matches_linprog(ss.zero_subspace(1), dom,
+                                           lambda p: np.ones(len(p)), [0.0],
+                                           m_bound=0.1)
+        assert val == pytest.approx(0.1, abs=1e-12)
+        assert np.abs(info["coefficients"]).max() == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("case", [
+        "laplace2-disk-harmonic", "pc2-disk", "laplace3-ball", "ph4-box", "phsym4-box",
+    ])
+    def test_catalog_lps(self, case):
+        smooth2 = lambda p: np.cos(2 * p[:, 0]) + 0.5 * p[:, 1]
+        smooth4 = lambda p: (np.cos(1.5 * p[:, 0]) + 0.4 * p[:, 1] * p[:, 2]
+                             - 0.3 * p[:, 3])
+        name, n, dom, phi = {
+            # x^2 - y^2 lies in the edge: every sample is tight at the optimum
+            "laplace2-disk-harmonic": ("laplace", 2, dh.GridDomain.ball(1.0, 1 / 16),
+                                       lambda p: p[:, 0] ** 2 - p[:, 1] ** 2),
+            "pc2-disk": ("P_C", 2, dh.GridDomain.ball(1.0, 1 / 8), smooth2),
+            "laplace3-ball": ("laplace", 3, dh.GridDomain.ball(1.0, 1 / 4, dim=3),
+                              lambda p: np.cos(2 * p[:, 0]) + p[:, 1] ** 2 / 2
+                              + 0.3 * p[:, 2]),
+            # d = 1 + 4 + 9 = 14 LP variables
+            "ph4-box": ("P_H", 4, dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 0.5), smooth4),
+            "phsym4-box": ("P_HSYM", 4, dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 0.5),
+                           smooth4),
+        }[case]
+        edge = cat.build_cone(name, n).edge_of()
+        for x in _nodes(dom, 8, seed=len(case)):
+            _, info = assert_matches_linprog(edge, dom, phi, x)
+            assert info["pivots"] >= 1
+
+    def test_harmonic_disk_is_exact(self):
+        # the data is an edge quadratic, so it is its own envelope at every
+        # node, axis nodes (zero entries of t, a degenerate start) included
+        dom = dh.GridDomain.ball(1.0, 1 / 8)
+        edge = cat.build_cone("laplace", 2).edge_of()
+        harm = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+        idx = np.argwhere(dom.interior)
+        for x in dom.origin + idx[(idx == np.array(dom.shape) // 2).any(axis=1)] * dom.h:
+            val, _ = dh.edge_envelope(edge, dom, harm, x, check_stability=False)
+            assert val == pytest.approx(x[0] ** 2 - x[1] ** 2, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(min_value=0, max_value=2**32 - 1),
+           count=hst.integers(min_value=3, max_value=40),
+           k=hst.integers(min_value=0, max_value=3))
+    def test_random_clouds(self, seed, count, k):
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :k].T
+        edge = ss.SymSubspace(2, np.einsum("ka,aij->kij", basis, ss.standard_basis(2)))
+        pts = rng.uniform(-1.0, 1.0, size=(count, 2))
+        coef, freq, phase = (rng.normal(size=4), rng.normal(scale=3.0, size=(2, 4)),
+                             rng.uniform(0.0, 2 * np.pi, size=4))
+        phi = lambda p: np.cos(p @ freq + phase) @ coef
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.5)
+        assert_matches_linprog(edge, dom, phi, rng.uniform(-1.0, 1.0, size=2),
+                               boundary_samples=pts)
+
+    @pytest.mark.parametrize("seed", [498, 1438])
+    def test_rounded_reduced_cost_of_a_basic_column(self, seed):
+        # 3-d clouds with half-integer x: at some basis the reduced cost of
+        # a basic column rounds to about -1e-10 (y is of size M); it must
+        # not enter the basis it is already in
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 7))
+        basis = np.linalg.qr(rng.normal(size=(6, 6)))[0][:, :k].T
+        edge = ss.SymSubspace(3, np.einsum("ka,aij->kij", basis, ss.standard_basis(3)))
+        pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(10, 30)), 3))
+        coef, freq, phase = (3 * rng.normal(size=4), rng.normal(size=(3, 4)),
+                             rng.uniform(0.0, 6.0, size=4))
+        phi = lambda p: np.cos(p @ freq + phase) @ coef
+        x = np.round(rng.uniform(-1.0, 1.0, size=3) * 2) / 2
+        dom = dh.GridDomain.box([-1.0] * 3, [1.0] * 3, 0.5)
+        assert_matches_linprog(edge, dom, phi, x, boundary_samples=pts)
+
+    def test_info_counts_pivots_of_both_solves(self):
+        dom = dh.GridDomain.ball(1.0, 1 / 8)
+        edge = cat.build_cone("laplace", 2).edge_of()
+        phi = lambda p: np.cos(2 * p[:, 0]) + 0.5 * p[:, 1]
+        x = np.array([0.25, -0.125])
+        _, one = dh.edge_envelope(edge, dom, phi, x, check_stability=False)
+        _, twice = dh.edge_envelope(edge, dom, phi, x, m_bound=2 * one["m_bound"],
+                                    check_stability=False)
+        _, both = dh.edge_envelope(edge, dom, phi, x)
+        assert both["pivots"] == one["pivots"] + twice["pivots"]
+        assert both["dual_bound"] == one["dual_bound"]
+
+    def test_report_totals_pivots(self):
+        cone = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 4)
+        phi = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+        rep = dh.envelope_report(cone, dom, phi, sample_nodes=6, seed=1,
+                                 solver_kwargs={"tol": 1e-10})
+        pts = dh._envelope_constraint_points(dom, phi)[0]
+        total = sum(dh.edge_envelope(cone.edge_of(), dom, phi,
+                                     dom.origin + np.array(r["node"]) * dom.h,
+                                     boundary_samples=pts,
+                                     check_stability=False)[1]["pivots"]
+                    for r in rep["records"])
+        assert rep["envelope_pivots"] == total > 0
 
 
 class TestGridIO:
