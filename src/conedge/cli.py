@@ -38,7 +38,7 @@ def _provenance(args, extra=None) -> dict:
         "command": args.command,
         "seed": getattr(args, "seed", 0),
         "membership_rtol": cn.MEMBERSHIP_RTOL,
-        "lp_tol": dh.LP_TOL,
+        "lp_tol": dh.ENVELOPE_LP_RTOL,
     }
     if extra:
         out.update(extra)

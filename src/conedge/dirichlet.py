@@ -38,7 +38,12 @@ center node itself, and folding them into the update would break the
 monotone dependence on the center value).  All extrapolations are exact
 on affine functions; for curved data the off-diagonal entries near a
 curved boundary are first-order accurate, so margins that read them
-carry O(h) boundary error on balls.
+carry O(h) boundary error on balls.  Ghost values are a function of the
+interior values: a solve sets them before the sweeps and after the last
+one, and inside the sweeps (after each red-black half-sweep and each
+sweep) only when a node update reads a ghost from the array, which the
+pencil does at corners, and a linear operator only if its columns include
+a ghost node (an off-diagonal W at a corner ghost; never a diagonal W).
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from .cones import ConeHandle
 from .symspace import SymSubspace, as_rng
 
 THETA_FLOOR = 0.05
-LP_TOL = 1e-8
+# an envelope LP returns only once a y <= phi holds to this times 1 + max|phi|
+ENVELOPE_LP_RTOL = 1e-9
 
 
 def _check_positive(name: str, value) -> None:
@@ -59,9 +65,35 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _lattice_coords(origin: np.ndarray, h: float, shape: tuple) -> np.ndarray:
+    axes = [origin[i] + h * np.arange(size) for i, size in enumerate(shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """Lattice tables of one domain, every array read-only."""
+
+    coords: np.ndarray                 # (*shape, n) node coordinates
+    interior_flat: np.ndarray          # flat indices of the interior mask
+    interior_pts: np.ndarray           # (M, n) their coordinates
+    boundary_flat: np.ndarray          # flat indices of the boundary mask
+    boundary_pts: np.ndarray
+    boundary_positions: np.ndarray     # see GridDomain.boundary_positions
+    # (points, indices kept after deduplication) of the envelope's
+    # boundary samples, written once by _envelope_constraint_points
+    envelope: tuple | None = None
+
+
 @dataclass(frozen=True)
 class GridDomain:
-    """Regular lattice over a box or ball with interior/boundary masks."""
+    """Regular lattice over a box or ball with interior/boundary masks.
+
+    The lattice tables (coordinates, mask indices and points, boundary
+    positions, envelope samples) form one geometry record, built on first
+    use and kept for the life of the domain; its arrays, coords() and
+    boundary_positions() among them, are shared and read-only, so a caller
+    that writes into one copies it first."""
 
     n: int
     shape: tuple
@@ -72,10 +104,8 @@ class GridDomain:
     boundary: np.ndarray          # bool, full lattice shape
     radius: float | None = None
     center: np.ndarray | None = None
-    # (points, indices kept after deduplication) of the envelope's
-    # boundary samples, written once by _envelope_constraint_points
-    _envelope_geometry: tuple | None = field(default=None, init=False,
-                                             repr=False, compare=False)
+    _geometry: _Geometry | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @staticmethod
     def box(lo, hi, h: float) -> "GridDomain":
@@ -112,33 +142,44 @@ class GridDomain:
         half = int(np.ceil(radius / h)) + 2
         shape = tuple([2 * half + 1] * n)
         origin = center - half * h
-        dom = GridDomain(n, shape, float(h), origin, "ball",
-                         np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool),
-                         radius=float(radius), center=center)
-        pts = dom.coords().reshape(-1, n)
+        pts = _lattice_coords(origin, float(h), shape).reshape(-1, n)
         inside = ((pts - center) ** 2).sum(axis=1) < radius**2
         inside = inside.reshape(shape)
-        near = _dilate(inside, n)
-        object.__setattr__(dom, "interior", inside)
-        object.__setattr__(dom, "boundary", near & ~inside)
-        return dom
+        return GridDomain(n, shape, float(h), origin, "ball", inside,
+                          _dilate(inside, n) & ~inside,
+                          radius=float(radius), center=center)
+
+    @property
+    def geometry(self) -> _Geometry:
+        """The domain's geometry record (see the class docstring)."""
+        if self._geometry is None:
+            coords = _lattice_coords(self.origin, self.h, self.shape)
+            flat = coords.reshape(-1, self.n)
+            interior_flat = np.flatnonzero(self.interior)
+            boundary_flat = np.flatnonzero(self.boundary)
+            pts = flat[boundary_flat]
+            positions = pts
+            if self.kind == "ball":
+                rel = pts - self.center
+                norms = np.linalg.norm(rel, axis=1, keepdims=True)
+                norms[norms == 0] = 1.0
+                positions = self.center + rel / norms * self.radius
+            geom = _Geometry(coords, interior_flat, flat[interior_flat],
+                             boundary_flat, pts, positions)
+            for arr in (coords, interior_flat, geom.interior_pts, boundary_flat,
+                        pts, positions):
+                arr.setflags(write=False)
+            object.__setattr__(self, "_geometry", geom)
+        return self._geometry
 
     def coords(self) -> np.ndarray:
-        axes = [self.origin[i] + self.h * np.arange(self.shape[i])
-                for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Node coordinates, shape (*shape, n); shared and read-only."""
+        return self.geometry.coords
 
     def boundary_positions(self) -> np.ndarray:
         """Representative positions of boundary nodes (sphere projections
-        for balls, the nodes themselves for boxes)."""
-        pts = self.coords()[self.boundary]
-        if self.kind == "ball":
-            rel = pts - self.center
-            norms = np.linalg.norm(rel, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            pts = self.center + rel / norms * self.radius
-        return pts
+        for balls, the nodes themselves for boxes); shared and read-only."""
+        return self.geometry.boundary_positions
 
 
 def _dilate(mask: np.ndarray, n: int) -> np.ndarray:
@@ -229,9 +270,9 @@ def _build_stencil(dom: GridDomain, phi) -> _Stencil:
     strides = np.array([int(np.prod(shape[i + 1:], dtype=np.int64)) for i in range(n)],
                        dtype=np.int64)
     inside_flat = dom.interior.ravel()
-    flat_interior = np.flatnonzero(inside_flat)
+    flat_interior = dom.geometry.interior_flat
+    coords = dom.geometry.interior_pts
     multi = np.array(np.unravel_index(flat_interior, shape)).T  # (M, n)
-    coords = dom.origin + multi * dom.h
 
     m = flat_interior.size
     axis_plus = flat_interior[:, None] + strides
@@ -416,7 +457,9 @@ def _linear_operator(stencil: _Stencil, weight: np.ndarray):
 
 def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
     """Central first and second differences (gradient, Hessian) at one
-    interior node; both exact on quadratics."""
+    interior node; both exact on quadratics.  The stencil values, ghosts
+    included, are read from the array in one gather: the center, +e_i,
+    -e_i, then e_i + e_j, -e_i - e_j, e_i - e_j, e_j - e_i for i < j."""
     dom = u.domain
     idx = tuple(int(i) for i in np.atleast_1d(index))
     if not dom.interior[idx]:
@@ -424,18 +467,16 @@ def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
     n = dom.n
     h2 = dom.h * dom.h
     unit = np.eye(n, dtype=int)
-
-    def at(offset):
-        return u.values[tuple(np.add(idx, offset))]
-
-    grad = np.array([(at(e) - at(-e)) / (2 * dom.h) for e in unit])
-    hess = np.zeros((n, n))
-    for i in range(n):
-        hess[i, i] = (at(unit[i]) + at(-unit[i]) - 2 * at(0)) / h2
-        for j in range(i + 1, n):
-            ei, ej = unit[i], unit[j]
-            hess[i, j] = hess[j, i] = (at(ei + ej) + at(-ei - ej)
-                                       - at(ei - ej) - at(ej - ei)) / (4 * h2)
+    pairs = np.triu_indices(n, 1)
+    ei, ej = unit[pairs[0]], unit[pairs[1]]
+    offsets = np.vstack([np.zeros((1, n), dtype=int), unit, -unit,
+                         ei + ej, -ei - ej, ei - ej, ej - ei])
+    v = u.values[tuple((np.array(idx) + offsets).T)]
+    up, dn = v[1:n + 1], v[n + 1:2 * n + 1]
+    pp, mm, pm, mp = v[2 * n + 1:].reshape(4, -1)
+    grad = (up - dn) / (2 * dom.h)
+    hess = np.diag((up + dn - 2 * v[0]) / h2)
+    hess[pairs] = hess[pairs[::-1]] = (pp + mm - pm - mp) / (4 * h2)
     return grad, hess
 
 
@@ -454,6 +495,21 @@ def _refresh_ghosts(stencil: _Stencil, flat_vals: np.ndarray):
     sums = np.zeros(stencil.g_unique.size)
     np.add.at(sums, stencil.g_inverse, vals)
     flat_vals[stencil.g_unique] = sums / stencil.g_counts
+
+
+def _reads_ghosts(stencil: _Stencil, op) -> bool:
+    """Does a node update read a ghost value from the array?  The pencil
+    reads the corners (its axis ghosts are the row's own extrapolation);
+    a linear operator op reads its columns, which hold no axis ghost and,
+    for a diagonal W, no corner."""
+    if stencil.g_unique.size == 0:
+        return False
+    if op is not None:
+        read = op.indices
+    else:
+        read = np.concatenate([table.ravel() for table in (
+            stencil.corner_pp, stencil.corner_mm, stencil.corner_pm, stencil.corner_mp)])
+    return bool(np.isin(stencil.g_unique, read).any())
 
 
 @dataclass
@@ -598,11 +654,16 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         return m0, 0.5 * (lo + hi)
 
     groups = _row_groups(stencil, ordering)
+    centers = [stencil.flat_interior[rows] for rows in groups]
+    op = None
     if linear:
         # a linear margin is a fixed map of the lattice values: one sparse
         # row block per group gives its margins, and the shift is exact
         op, const = _linear_operator(stencil, lin_w)
         blocks = [(op[rows], const[rows], den_lo[rows]) for rows in groups]
+    # ghosts are a function of the interior values: refresh them within
+    # the sweeps only where an update reads one, and once after the sweeps
+    refresh_in_sweeps = _reads_ghosts(stencil, op)
 
     def update_rows(k: int) -> tuple[float, float]:
         """Move each row of group k by omega times its root shift; returns
@@ -616,7 +677,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
             shift = h2 * m0 / den
         else:
             m0, shift = pencil_shift(rows)
-        f_idx = stencil.flat_interior[rows]
+        f_idx = centers[k]
         t = flat[f_idx]
         t_new = t + omega * shift
         flat[f_idx] = t_new
@@ -627,15 +688,18 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
             steps = [update_rows(k) for k in range(len(groups))]
         else:
             steps = [update_rows(0)]
-            _refresh_ghosts(stencil, flat)
+            if refresh_in_sweeps:
+                _refresh_ghosts(stencil, flat)
             steps.append(update_rows(1))
         worst, residual = np.max(steps, axis=0)
-        _refresh_ghosts(stencil, flat)
+        if refresh_in_sweeps:
+            _refresh_ghosts(stencil, flat)
         if sweeps % history_every == 0:
             history.append((sweeps, float(worst)))
         if worst < tol:
             converged = True
             break
+    _refresh_ghosts(stencil, flat)
 
     field_vals = flat.reshape(dom.shape)
     return (GridField(dom, field_vals),
@@ -675,8 +739,9 @@ def _envelope_constraint_points(dom: GridDomain, phi) -> tuple[np.ndarray, np.nd
     """Deduplicated boundary samples and phi there.  The geometry depends
     on the domain alone, so it is built once and kept on the domain; phi is
     evaluated on every call, at all points before deduplication."""
-    if dom._envelope_geometry is None:
-        pts = dom.boundary_positions()
+    geom = dom.geometry
+    if geom.envelope is None:
+        pts = geom.boundary_positions
         if dom.kind == "ball":
             crossings = _ball_crossing_points(dom)
             if crossings.size:
@@ -687,8 +752,8 @@ def _envelope_constraint_points(dom: GridDomain, phi) -> tuple[np.ndarray, np.nd
         keep.sort()
         pts.setflags(write=False)
         keep.setflags(write=False)
-        object.__setattr__(dom, "_envelope_geometry", (pts, keep))
-    pts, keep = dom._envelope_geometry
+        object.__setattr__(geom, "envelope", (pts, keep))
+    pts, keep = geom.envelope
     return pts[keep], np.asarray(phi(pts), dtype=float)[keep]
 
 
@@ -703,7 +768,7 @@ def _envelope_lp(a, phi, t, m_bound):
     cols = np.vstack([a, np.eye(d), -np.eye(d)])
     cost = np.concatenate([phi, np.full(2 * d, m_bound)])
     basis = m + np.arange(d) + d * (t < 0)        # sign(t_i) e_i, lam_B = |t|
-    tol = 1e-9 * (1.0 + np.abs(phi).max())
+    tol = ENVELOPE_LP_RTOL * (1.0 + np.abs(phi).max())
     eps = 1e-3 * tol + 1e-14 * m_bound
     stalled = 0
     for pivots in range(50 * d + m):
@@ -882,12 +947,15 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
 
 def write_grid_csv(path, field_sol: GridField, provenance: dict | None = None):
     """`# key = value` header lines (the provenance, then the domain keys
-    read_grid_csv needs), then one row per interior or boundary node."""
+    read_grid_csv needs), then one row per interior or boundary node, in
+    C order; numbers are written as Python float reprs."""
     dom = field_sol.domain
-    coords = dom.coords().reshape(-1, dom.n)
-    vals = field_sol.values.ravel()
-    interior = dom.interior.ravel()
-    boundary = dom.boundary.ravel()
+    nodes = np.flatnonzero(dom.interior | dom.boundary)
+    pts = dom.coords().reshape(-1, dom.n)[nodes]
+    vals = np.asarray(field_sol.values, dtype=float).ravel()[nodes]
+    masks = np.where(dom.interior.ravel()[nodes], "interior", "boundary")
+    columns = [map(repr, col) for col in pts.T.tolist()]
+    columns += [map(repr, vals.tolist()), masks.tolist()]
     header = {**(provenance or {}),
               "kind": dom.kind, "h": dom.h,
               "shape": "x".join(map(str, dom.shape)),
@@ -898,12 +966,7 @@ def write_grid_csv(path, field_sol: GridField, provenance: dict | None = None):
             fh.write(f"# {key} = {value}\n")
         cols = [f"x{i}" for i in range(dom.n)]
         fh.write(",".join(cols + ["value", "mask"]) + "\n")
-        for row in range(coords.shape[0]):
-            if not (interior[row] or boundary[row]):
-                continue
-            mask = "interior" if interior[row] else "boundary"
-            pos = ",".join(repr(float(c)) for c in coords[row])
-            fh.write(f"{pos},{float(vals[row])!r},{mask}\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def read_grid_csv(path):

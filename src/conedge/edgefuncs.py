@@ -86,12 +86,14 @@ def sub_test(u: GridField, h: EdgeQuadratic, tol: float = 0.0) -> tuple[bool, di
     Returns (result, info); when the boundary premise already fails the
     implication holds vacuously and the info flags it.
     """
-    dom = u.domain
-    pts = dom.coords().reshape(-1, dom.n)
-    h_vals = h(pts).reshape(dom.shape)
-    diff = u.values - h_vals
-    boundary_excess = float(diff[dom.boundary].max()) if dom.boundary.any() else -np.inf
-    interior_excess = float(diff[dom.interior].max()) if dom.interior.any() else -np.inf
+    geom = u.domain.geometry
+    flat = u.values.ravel()
+
+    def excess(nodes, pts):
+        return float((flat[nodes] - h(pts)).max()) if nodes.size else -np.inf
+
+    boundary_excess = excess(geom.boundary_flat, geom.boundary_pts)
+    interior_excess = excess(geom.interior_flat, geom.interior_pts)
     info = {
         "boundary_excess": boundary_excess,
         "interior_excess": interior_excess,

@@ -504,6 +504,24 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_provenance_states_the_envelope_lp_tolerance(tmp_path, monkeypatch):
+    # the JSON provenance and the LP's certificate read one constant
+    out = tmp_path / "env.jsonl"
+    assert run_cli(["envelope", "--cone", "P", "--n", "2", "--domain", "box",
+                    "--h", "0.25", "--phi", "affine", "--nodes", "3",
+                    "--out", str(out)]) == 0
+    prov = json.loads(out.read_text().splitlines()[0])["provenance"]
+    assert prov["lp_tol"] == dh.ENVELOPE_LP_RTOL == 1e-9
+    # max y over y <= 0.5, |y| <= 10: one pivot to y = 0.5, residual exactly 0,
+    # which passes at that tolerance and fails at a negative one (small
+    # enough to leave the pricing threshold positive)
+    lp = (np.array([[1.0]]), np.array([0.5]), np.array([1.0]), 10.0)
+    assert dh._envelope_lp(*lp)[0] == 0.5
+    monkeypatch.setattr(dh, "ENVELOPE_LP_RTOL", -1e-12)
+    with pytest.raises(RuntimeError, match="certificate breaks a y <= phi"):
+        dh._envelope_lp(*lp)
+
+
 def test_envelope_runs_without_scipy_optimize():
     # the envelope LP is conedge's own simplex; scipy.optimize stays unloaded
     code = ("import sys, numpy as np; from conedge import catalog, dirichlet; "

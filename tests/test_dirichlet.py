@@ -60,6 +60,33 @@ class TestGridDomain:
             dh.GridDomain.ball(radius, 0.25)
 
 
+class TestGeometry:
+    DOMAINS = [dh.GridDomain.box([-1.0], [0.5], 0.25),
+               dh.GridDomain.box([-1.0, 0.0], [1.0, 1.5], 0.5),
+               dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 0.5),
+               dh.GridDomain.ball(1.0, 0.25, dim=1),
+               dh.GridDomain.ball(1.0, 0.2, center=[0.3, -0.1]),
+               dh.GridDomain.ball(1.0, 0.5, dim=3)]
+
+    @pytest.mark.parametrize("dom", DOMAINS, ids=["box1", "box2", "box4", "ball1",
+                                                  "disk", "ball3"])
+    def test_coords_shared_read_only_and_exact(self, dom):
+        coords = dom.coords()
+        assert dom.coords() is coords
+        with pytest.raises(ValueError):
+            coords[(0,) * dom.n] = 7.0
+        with pytest.raises(ValueError):
+            dom.boundary_positions()[0] = 7.0
+        axes = [dom.origin[i] + dom.h * np.arange(dom.shape[i]) for i in range(dom.n)]
+        fresh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert np.array_equal(coords, fresh)
+        geom = dom.geometry
+        for mask, flat, pts in ((dom.interior, geom.interior_flat, geom.interior_pts),
+                                (dom.boundary, geom.boundary_flat, geom.boundary_pts)):
+            assert np.array_equal(flat, np.flatnonzero(mask))
+            assert np.array_equal(pts, fresh[mask])
+
+
 class TestDiscreteHessian:
     def test_quadratic_exact(self, rng):
         dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.25)
@@ -100,6 +127,42 @@ class TestDiscreteHessian:
         assert np.array_equal(hess, dh.discrete_hessian(u, idx))
         with pytest.raises(ValueError):
             dh.central_differences(u, (0, 3, 3))
+
+    @staticmethod
+    def loop_central_differences(u, idx):
+        """One scalar read per stencil value: the reference for the gather."""
+        dom = u.domain
+        n, h2 = dom.n, dom.h * dom.h
+        unit = np.eye(n, dtype=int)
+
+        def at(offset):
+            return u.values[tuple(np.add(idx, offset))]
+
+        grad = np.array([(at(e) - at(-e)) / (2 * dom.h) for e in unit])
+        hess = np.zeros((n, n))
+        for i in range(n):
+            hess[i, i] = (at(unit[i]) + at(-unit[i]) - 2 * at(0)) / h2
+            for j in range(i + 1, n):
+                ei, ej = unit[i], unit[j]
+                hess[i, j] = hess[j, i] = (at(ei + ej) + at(-ei - ej)
+                                           - at(ei - ej) - at(ej - ei)) / (4 * h2)
+        return grad, hess
+
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 0.5),
+        dh.GridDomain.ball(1.0, 1 / 8),
+        dh.GridDomain.ball(1.0, 0.25, dim=3),
+    ], ids=["box4", "disk", "ball3"])
+    def test_central_differences_equal_the_scalar_loop(self, rng, dom):
+        # every lattice value random, ghosts and unused nodes included
+        u = dh.GridField(dom, rng.normal(size=dom.shape))
+        for idx in map(tuple, np.argwhere(dom.interior)):
+            grad, hess = dh.central_differences(u, idx)
+            ref_grad, ref_hess = self.loop_central_differences(u, idx)
+            assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
+        for idx in map(tuple, np.argwhere(dom.boundary)[:5]):
+            with pytest.raises(ValueError):
+                dh.central_differences(u, idx)
 
 
 class TestPerronSolve:
@@ -534,6 +597,49 @@ class TestOverRelaxation:
             assert info.converged and info.omega == 1.0
 
 
+class TestGhostRefresh:
+    @staticmethod
+    def solve_counting(monkeypatch, cone, dom, ordering, force=False):
+        calls = []
+        refresh = dh._refresh_ghosts
+        monkeypatch.setattr(dh, "_refresh_ghosts",
+                            lambda st, flat: (calls.append(1), refresh(st, flat)))
+        if force:
+            monkeypatch.setattr(dh, "_reads_ghosts", lambda st, op: True)
+        u, info = dh.perron_solve(cone, dom, smooth2, ordering=ordering)
+        monkeypatch.undo()
+        return u, info, len(calls)
+
+    @pytest.mark.parametrize("ordering", ["lex", "redblack"])
+    def test_diagonal_weight_refreshes_only_around_the_sweeps(self, monkeypatch, ordering):
+        cone, dom = cat.build_cone("laplace", 2), dh.GridDomain.ball(1.0, 1 / 16)
+        u, info, calls = self.solve_counting(monkeypatch, cone, dom, ordering)
+        assert info.converged and calls == 2
+        forced, forced_info, forced_calls = self.solve_counting(
+            monkeypatch, cone, dom, ordering, force=True)
+        per_sweep = 1 if ordering == "lex" else 2
+        assert forced_calls == 2 + per_sweep * forced_info.sweeps
+        assert forced_info.sweeps == info.sweeps
+        assert np.array_equal(u.values, forced.values)
+
+    @pytest.mark.parametrize("ordering", ["lex", "redblack"])
+    def test_off_diagonal_weight_refreshes_inside_the_sweeps(self, monkeypatch, ordering):
+        # the corner columns of <H, W> read corner ghosts on the disk
+        cone = cn.HalfspaceCone(OFF_DIAGONAL)
+        dom = dh.GridDomain.ball(1.0, 1 / 8)
+        _, info, calls = self.solve_counting(monkeypatch, cone, dom, ordering)
+        per_sweep = 1 if ordering == "lex" else 2
+        assert info.converged and calls == 2 + per_sweep * info.sweeps
+
+    def test_pencil_reads_corner_ghosts(self):
+        st = dh._build_stencil(dh.GridDomain.ball(1.0, 1 / 4), smooth2)
+        assert dh._reads_ghosts(st, None)
+        st = dh._build_stencil(dh.GridDomain.ball(1.0, 1 / 4, dim=1), lambda p: p[:, 0])
+        assert st.g_unique.size and not dh._reads_ghosts(st, None)
+        assert not dh._reads_ghosts(
+            dh._build_stencil(dh.GridDomain.box([-1.0] * 2, [1.0] * 2, 0.25), smooth2), None)
+
+
 class TestSolverInput:
     @pytest.fixture
     def no_stencil(self, monkeypatch):
@@ -604,8 +710,8 @@ class TestEnvelope:
             fresh, _ = dh.edge_envelope(edge, dh.GridDomain.ball(1.0, 1 / 8), phi, x,
                                         check_stability=False)
             assert kept == fresh
-        assert dom._envelope_geometry is not None
-        assert info["constraints"] == dom._envelope_geometry[1].size
+        assert dom.geometry.envelope is not None
+        assert info["constraints"] == dom.geometry.envelope[1].size
 
     def test_monotone_in_bound(self):
         dom = dh.GridDomain.box([-1.0], [1.0], 0.5)
@@ -888,6 +994,41 @@ class TestGridIO:
         assert np.array_equal(back.domain.boundary, dom.boundary)
         mask = dom.interior | dom.boundary
         assert np.array_equal(back.values[mask], u.values[mask])
+
+    @staticmethod
+    def row_by_row_csv(path, field_sol, provenance):
+        """The writer as one formatted row per lattice node: the reference."""
+        dom = field_sol.domain
+        coords = dom.coords().reshape(-1, dom.n)
+        vals = field_sol.values.ravel()
+        interior, boundary = dom.interior.ravel(), dom.boundary.ravel()
+        header = {**provenance, "kind": dom.kind, "h": dom.h,
+                  "shape": "x".join(map(str, dom.shape)),
+                  "origin": ",".join(repr(float(v)) for v in dom.origin),
+                  "radius": dom.radius if dom.kind == "ball" else ""}
+        with open(path, "w", encoding="utf-8") as fh:
+            for key, value in header.items():
+                fh.write(f"# {key} = {value}\n")
+            fh.write(",".join([f"x{i}" for i in range(dom.n)] + ["value", "mask"]) + "\n")
+            for row in range(coords.shape[0]):
+                if not (interior[row] or boundary[row]):
+                    continue
+                mask = "interior" if interior[row] else "boundary"
+                pos = ",".join(repr(float(c)) for c in coords[row])
+                fh.write(f"{pos},{float(vals[row])!r},{mask}\n")
+
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.box([-1.0, 0.0, -0.5], [1.0, 1.5, 0.5], 0.25),
+        dh.GridDomain.ball(1.0, 1 / 16, center=[0.1, -0.3]),
+    ], ids=["box3", "disk"])
+    def test_csv_bytes_equal_the_row_by_row_writer(self, tmp_path, rng, dom):
+        u = dh.GridField(dom, rng.normal(size=dom.shape) * 10.0 ** rng.integers(
+            -20, 20, size=dom.shape))
+        u.values[(1,) * dom.n] = -0.0
+        prov = {"seed": 3, "note": "x"}
+        dh.write_grid_csv(tmp_path / "new.csv", u, prov)
+        self.row_by_row_csv(tmp_path / "ref.csv", u, prov)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_ppm(self, tmp_path):
         dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.5)

@@ -131,6 +131,43 @@ class TestSubTest:
         ok, info = ef.sub_test(u, h)
         assert ok and info["vacuous"] and not info["premise_holds"]
 
+    @staticmethod
+    def full_lattice_sub_test(u, h, tol):
+        """sub_test with the quadratic evaluated on the whole lattice."""
+        dom = u.domain
+        diff = u.values - h(dom.coords().reshape(-1, dom.n)).reshape(dom.shape)
+        boundary = float(diff[dom.boundary].max()) if dom.boundary.any() else -np.inf
+        interior = float(diff[dom.interior].max()) if dom.interior.any() else -np.inf
+        info = {"boundary_excess": boundary, "interior_excess": interior,
+                "premise_holds": bool(boundary <= tol)}
+        info["vacuous"] = not info["premise_holds"]
+        return (True if info["vacuous"] else bool(interior <= tol)), info
+
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.box([-1.0], [1.0], 0.25),
+        dh.GridDomain.box([-1.0, 0.0], [1.0, 1.5], 0.25),
+        dh.GridDomain.box([-1.0] * 3, [1.0] * 3, 0.5),
+        dh.GridDomain.ball(1.0, 0.125, dim=1),
+        dh.GridDomain.ball(1.0, 0.2, center=[0.3, -0.1]),
+        dh.GridDomain.ball(1.0, 0.3, dim=3),
+    ], ids=["box1", "box2", "box3", "ball1", "disk", "ball3"])
+    def test_equals_the_full_lattice_reference(self, rng, dom):
+        n, premises = dom.n, set()
+        for _ in range(40):
+            u = dh.GridField(dom, rng.normal(size=dom.shape))
+            g = rng.normal(size=(n, n))
+            h = ef.EdgeQuadratic(float(rng.normal()), rng.normal(size=n), g + g.T)
+            if rng.uniform() < 0.5:
+                # lift h over the boundary values, so the premise holds
+                # and the interior decides
+                excess = self.full_lattice_sub_test(u, h, 0.0)[1]["boundary_excess"]
+                h = ef.EdgeQuadratic(h.c + excess - rng.uniform(0.0, 0.2), h.b, h.curvature)
+            tol = float(rng.uniform(0.0, 0.5))
+            ok, info = ef.sub_test(u, h, tol=tol)
+            assert (ok, info) == self.full_lattice_sub_test(u, h, tol)
+            premises.add(info["premise_holds"])
+        assert premises == {True, False}
+
 
 class TestEdgeQuadraticsAreHarmonic:
     @pytest.mark.parametrize("name,n", [("laplace", 2), ("P_C", 2), ("P", 2)])
