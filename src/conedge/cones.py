@@ -26,6 +26,7 @@ Handles are immutable; caches are write-once.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,10 +55,18 @@ RANK_SVD_RTOL = 1e-8
 SUPPORT_ACCEPT = 1e-9
 SUPPORT_DEADBAND = 1e-6
 CHECK_TOL_SCALE = 10.0
+GEOMETRIC_STACK = 512     # matrices per pass of GeometricCone's stacked frame descents
 
 
 def default_tol(a: np.ndarray) -> float:
     return MEMBERSHIP_RTOL * (1.0 + frob_norm(a))
+
+
+def _positive_int(name: str, value) -> int:
+    """value as an int; ValueError naming `name` unless a positive integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 class Verdict(enum.Enum):
@@ -589,37 +598,37 @@ class HalfspaceCone(ConeHandle):
 class GeometricCone(ConeHandle):
     """{A : tr(A|_W) >= 0 over a plane family}, probed by sampling.
 
-    The frame cache is drawn once per handle (seeded); a margin takes the
-    cached minimum and refines the best few frames by projected descent
-    with backtracking.  margin_batch is ConeHandle's: that same margin on
-    each matrix of the stack, so a single margin is the batch of one.
+    The frame cache is drawn once per handle (seeded), as one block of
+    `structures.sample_planes`.  A margin takes the cached minimum and
+    refines the best frames in order by projected descent with
+    backtracking, until 5 descents in a row gain nothing (at most
+    `descents` of them).  margin_batch runs those descents for the whole
+    stack in passes of (matrix, start frame) pairs; every pair takes its
+    own Armijo steps, and one stacked exponential per step serves them all.
+    A single margin (and its witness frame) is the batch of one.  budget,
+    descents and descent_steps must be positive integers, seed an integer.
     """
 
     def __init__(self, family: st.PlaneFamily, *, budget: int = 2000,
                  descents: int = 50, descent_steps: int = 60, seed: int = 0):
-        if budget < 1:
-            raise ValueError("sample budget must be positive")
+        self.budget = _positive_int("budget", budget)
+        self.descents = _positive_int("descents", descents)
+        self.descent_steps = _positive_int("descent_steps", descent_steps)
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        self.seed = int(seed)
         self.n = family.ambient
         self.family = family
-        self.budget = budget
-        self.descents = descents
-        self.descent_steps = descent_steps
-        self.seed = seed
         self._algebra = _algebra_projector(family)
-        self._sampler = st.plane_sampler(family)
         self._frames = None
         self._projectors = None
         self._edge = None
         self._span = None
 
     # frame cache -------------------------------------------------------
-    def _draw_frames(self, count: int, seed: int) -> np.ndarray:
-        rng = as_rng(seed)
-        return np.array([self._sampler(rng) for _ in range(count)])
-
     def frames(self) -> np.ndarray:
         if self._frames is None:
-            self._frames = self._draw_frames(self.budget, self.seed)
+            self._frames = st.sample_planes(self.family, self.seed, self.budget)
         return self._frames
 
     def projectors(self) -> np.ndarray:
@@ -630,23 +639,51 @@ class GeometricCone(ConeHandle):
 
     # margins -------------------------------------------------------------
     def _margin_with_witness(self, a: np.ndarray):
-        k = self.family.plane_dim
-        vals = np.einsum("fij,ji->f", self.projectors(), a) / k
-        order = np.argsort(vals)
-        best_val = float(vals[order[0]])
-        best_frame = self.frames()[order[0]]
-        no_gain = 0
-        for idx in order[: max(1, self.descents)]:
-            val, fr = _descend_frame(self._algebra, k, self.frames()[idx], a,
-                                     steps=self.descent_steps)
-            if val < best_val - 1e-12:
-                best_val, best_frame = val, fr
-                no_gain = 0
-            else:
-                no_gain += 1
-                if no_gain >= 5:  # plateau: further polish runs add nothing
-                    break
-        return best_val, best_frame, False
+        vals, frames = self._margins_and_witnesses(a[None])
+        return float(vals[0]), frames[0], False
+
+    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
+        parts = [self._margins_and_witnesses(a_stack[i:i + GEOMETRIC_STACK])[0]
+                 for i in range(0, len(a_stack), GEOMETRIC_STACK)]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def _margins_and_witnesses(self, a: np.ndarray):
+        """Margins and witness frames of a checked (m, n, n) stack.
+
+        A matrix stops after 5 descents in a row without a gain, so one
+        whose last g descents gained nothing runs at least its next 5 - g.
+        Each pass descends exactly those, for every matrix still going, as
+        one stack of (matrix, start frame) pairs, then reads the results in
+        the sequential order; so the same descents run as one at a time.
+        """
+        m, k = len(a), self.family.plane_dim
+        frames = self.frames()
+        flat = self.projectors().reshape(self.budget, -1)
+        # one matrix-vector product per matrix, so a row does not depend on the stack
+        vals = (flat @ a.reshape(m, -1, 1))[:, :, 0] / k
+        order = np.argsort(vals, axis=1)[:, :self.descents]
+        best_val = vals[np.arange(m), order[:, 0]]
+        best_frame = frames[order[:, 0]]
+        done = np.zeros(m, dtype=int)     # descents run
+        no_gain = np.zeros(m, dtype=int)  # of those, the last ones in a row without a gain
+        live = np.arange(m)
+        while live.size:
+            take = np.minimum(5 - no_gain[live], order.shape[1] - done[live])
+            first = np.cumsum(take) - take
+            mat = np.repeat(live, take)
+            rnd = np.arange(take.sum()) - np.repeat(first, take) + done[mat]
+            val, fr = _descend_frames(self._algebra, k, frames[order[mat, rnd]], a[mat],
+                                      self.descent_steps)
+            for j in range(take.max()):
+                has = take > j
+                i, pos = live[has], first[has] + j
+                gain = val[pos] < best_val[i] - 1e-12
+                best_val[i[gain]] = val[pos[gain]]
+                best_frame[i[gain]] = fr[pos[gain]]
+                no_gain[i] = np.where(gain, 0, no_gain[i] + 1)
+            done[live] += take
+            live = live[(no_gain[live] < 5) & (done[live] < order.shape[1])]
+        return best_val, best_frame
 
     # linear structure ----------------------------------------------------
     def edge_of(self) -> SymSubspace:
@@ -668,7 +705,7 @@ class GeometricCone(ConeHandle):
         return self._edge
 
     def _span_from_samples(self, count: int, seed: int) -> SymSubspace:
-        f = self._draw_frames(count, seed)
+        f = st.sample_planes(self.family, seed, count)
         flat = np.einsum("fki,fkj->fij", f, f).reshape(count, -1)
         u, s, vt = np.linalg.svd(flat, full_matrices=False)
         rank = int(np.sum(s > RANK_SVD_RTOL * s[0]))
@@ -677,11 +714,17 @@ class GeometricCone(ConeHandle):
         return orthonormalize(gens, ambient_n=self.n)
 
 
+def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Frobenius products <x_i, y_i> over two stacks (tr(x_i y_i) when y_i
+    is symmetric), one BLAS dot per matrix."""
+    return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1))
+
+
 def _algebra_projector(family: st.PlaneFamily):
-    """Projection of a skew matrix onto the Lie algebra of the group that
-    acts transitively on the family (geodesic moves stay inside it): the
-    commutant of the structures its frames are built against, plus the
-    span of I, J, K for quaternionic lines."""
+    """Projection of a stack of skew matrices onto the Lie algebra of the
+    group that acts transitively on the family (geodesic moves stay inside
+    it): the commutant of the structures its frames are built against,
+    plus the span of I, J, K for quaternionic lines."""
     _, mats, _ = st.family_spec(family)
 
     def proj(x):
@@ -691,54 +734,95 @@ def _algebra_projector(family: st.PlaneFamily):
         out = out / (1 + len(mats))
         if family.tag == "hp":  # sp(n) + sp(1)
             for m in mats:
-                out = out + (np.einsum("ij,ji->", x, m) / np.einsum("ij,ji->", m, m)) * m
+                coef = np.vecdot(x.reshape(len(x), -1), m.ravel()) / np.vdot(m, m)
+                out = out + coef[:, None, None] * m
         return out
 
     return proj
 
 
-def _skew_exp(omega: np.ndarray) -> np.ndarray:
-    """Orthogonal exponential of a skew matrix via the Hermitian eigensolver."""
-    lam, vec = np.linalg.eigh(1j * omega)
-    phase = np.exp(-1j * lam)
-    return np.real((vec * phase) @ vec.conj().T)
+_EXP_FLOOR = np.finfo(float).tiny  # sqrt(0) -> 1.5e-154, where sin(t r)/r is exactly t
 
 
-def _descend_frame(proj: Callable, k: int, frame: np.ndarray, a: np.ndarray,
-                   steps: int = 60):
-    """Geodesic descent of tr(A|_W)/k along the transitive group of a plane
-    family of dimension k, whose Lie algebra projector is proj.
+def _skew_exp(omega: np.ndarray):
+    """(t, rows) -> exp(t_i omega_i) over the given rows of a stack of skew
+    matrices, for one t_i per row.
+
+    One real eigh of S = omega^T omega = -omega^2 = V diag(r^2) V^T serves
+    every t: exp(t omega) = (V cos(t r) + omega V sin(t r) / r) V^T.
+    """
+    s, v = np.linalg.eigh(omega.mT @ omega)
+    root = np.sqrt(np.maximum(s, _EXP_FLOOR))[:, None, :]
+    ov = omega @ v
+
+    def at(t: np.ndarray, rows) -> np.ndarray:
+        vr, rr = v[rows], root[rows]
+        tr = t[:, None, None] * rr
+        return (vr * np.cos(tr) + ov[rows] * (np.sin(tr) / rr)) @ vr.mT
+
+    return at
+
+
+def _descend_frames(proj: Callable, k: int, frames: np.ndarray, a: np.ndarray,
+                    steps: int):
+    """Geodesic descent of tr(A_i|_W)/k from each frame of a stack, along
+    the transitive group of a plane family of dimension k, whose Lie
+    algebra projector is proj; returns the values and the frames reached.
 
     The derivative of <A, g P g'> along exp(t Omega) is <Omega, [P, A]>, so
-    the Riemannian gradient is the algebra projection of the commutator;
-    Armijo backtracking keeps every accepted move a strict decrease.
+    the Riemannian gradient is the algebra projection of the commutator.
+    Every pair keeps its own step size eta and stops on its own; Armijo
+    backtracking keeps every accepted move a strict decrease.  A step takes
+    one stacked `_skew_exp` of the gradients, which each backtracking trial
+    evaluates at the -eta of the pairs still trying.
     """
-    fr = np.asarray(frame, dtype=float)
-    p = fr.T @ fr
-    val = float(np.einsum("ij,ji->", a, p)) / k
-    scale = 1.0 + float(np.abs(a).max())
+    fr = np.array(frames, dtype=float)
+    val = np.empty(len(a))
+    live = np.arange(len(a))         # the pairs still descending
+    f, al = fr, a
+    p = f.mT @ f
+    v = _pair(al, p) / k
+    scale = 1.0 + np.abs(al).max(axis=(1, 2))
     eta = 0.5 / scale
     for _ in range(steps):
-        omega = proj(a @ p - p @ a)
-        omega = 0.5 * (omega - omega.T)
-        gn = frob_norm(omega)
-        if gn < 1e-10 * scale:
-            break
+        omega = proj(al @ p - p @ al)
+        omega = 0.5 * (omega - omega.mT)
+        gn = np.sqrt(_pair(omega, omega))
         slope = -gn * gn / k
-        moved = False
+        t = np.flatnonzero(gn >= 1e-10 * scale)  # the pairs trying a step
+        moved = np.zeros(len(live), dtype=bool)
+        if t.size:
+            rotation = _skew_exp(omega[t] if t.size < len(live) else omega)
+            tried, rows = t.size, slice(None)  # t's rows of the rotation
         for _ in range(16):
-            g = _skew_exp(-eta * omega)
-            cand_fr = fr @ g.T
-            cand_p = cand_fr.T @ cand_fr
-            cand_val = float(np.einsum("ij,ji->", a, cand_p)) / k
-            if cand_val <= val + 1e-4 * eta * slope:
-                fr, p, val = cand_fr, cand_p, cand_val
-                eta *= 1.5
-                moved = True
+            if not t.size:
                 break
-            eta *= 0.5
-        if not moved:
-            break
+            s = slice(None) if t.size == len(live) else t
+            cand_f = f[s] @ rotation(-eta[s], rows).mT
+            cand_p = cand_f.mT @ cand_f
+            cand_v = _pair(al[s], cand_p) / k
+            ok = cand_v <= v[s] + 1e-4 * eta[s] * slope[s]
+            if ok.all():
+                f[s], p[s], v[s] = cand_f, cand_p, cand_v
+                eta[s] *= 1.5
+                moved[s] = True
+                break
+            if not ok.any():
+                eta[s] *= 0.5
+                continue
+            acc = t[ok]
+            f[acc], p[acc], v[acc] = cand_f[ok], cand_p[ok], cand_v[ok]
+            eta[s] *= np.where(ok, 1.5, 0.5)
+            moved[acc] = True
+            rows = np.flatnonzero(~ok) if t.size == tried else rows[~ok]
+            t = t[~ok]
+        if not moved.all():  # the pairs that did not move stop here
+            fr[live], val[live] = f, v
+            live, f, al, p, v = live[moved], f[moved], al[moved], p[moved], v[moved]
+            scale, eta = scale[moved], eta[moved]
+            if not live.size:
+                break
+    fr[live], val[live] = f, v
     return val, fr
 
 
@@ -889,11 +973,6 @@ def stack_verdicts(cone: ConeHandle, stack, scale: float):
     return (margins > tols).astype(int) - (margins < -tols).astype(int), tols
 
 
-def _check_budget(budget) -> None:
-    if budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
-
-
 def polar_membership(cone: ConeHandle, a: np.ndarray, budget: int, seed: int) -> float:
     """Bipolar sampling test: min <A, B / (1 + |B|)> over 2 * budget cone
     members B, drawn as one block from a generator seeded by seed."""
@@ -916,7 +995,7 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict
     The samples of (i) and (ii) are drawn one at a time, in a fixed order;
     each of the two stacks then gets its verdicts from stack_verdicts.
     """
-    _check_budget(budget)
+    _positive_int("budget", budget)
     rng = as_rng(seed)
     n = cone.n
     edge = cone.edge_of()
@@ -1004,7 +1083,7 @@ def self_duality_check(cone: ConeHandle, budget: int = 200, seed: int = 0) -> di
     polar?  Confirmed by sampling; refuted by a projected rank-one
     projector that fails to be PSD.
     """
-    _check_budget(budget)
+    _positive_int("budget", budget)
     rng = as_rng(seed)
     n = cone.n
     span = cone.span_of()
@@ -1034,7 +1113,7 @@ def check_dual_inclusion(cone: ConeHandle, budget: int = 1000, seed: int = 0) ->
     interior, so the failures are the interior verdicts of stack_verdicts on
     the negated block.
     """
-    _check_budget(budget)
+    _positive_int("budget", budget)
     stack = sample_members(cone, seed, budget)
     fails = int(np.sum(stack_verdicts(cone, -stack, CHECK_TOL_SCALE)[0] > 0))
     return {"cone": getattr(cone, "name", None) or "anonymous",
@@ -1050,20 +1129,24 @@ def cross_validate_oracles(primary: ConeHandle, reference, budget: int = 1000,
     margin under either oracle falls below `margin_floor` in magnitude are
     dead-band cases and are skipped.  With `inclusion_only`, membership in
     the primary must imply membership in the reference, and reverse
-    counterexamples are only counted, never judged.  The primary margins
-    come from one margin_batch call, the reference's one matrix at a time.
+    counterexamples are only counted, never judged.  Each handle's margins
+    come from one margin_batch call (a geometric reference thus runs its
+    frame descents over the whole stack); a callable reference is called
+    one matrix at a time.
     """
-    _check_budget(budget)
+    _positive_int("budget", budget)
     rng = as_rng(seed)
     n = primary.n
-    ref_margin = reference.margin if isinstance(reference, ConeHandle) else reference
     agree = disagree = skipped = 0
     reverse_candidates = 0
     examples = []
     stack = np.array([sample_member(primary, rng) if t % 3 == 0
                       else random_symmetric(n, rng) for t in range(budget)])
-    for a, m1 in zip(stack, primary.margin_batch(stack)):
-        m2 = float(ref_margin(a))
+    if isinstance(reference, ConeHandle):
+        ref_margins = reference.margin_batch(stack)
+    else:
+        ref_margins = [float(reference(a)) for a in stack]
+    for a, m1, m2 in zip(stack, primary.margin_batch(stack), ref_margins):
         if min(abs(m1), abs(m2)) <= margin_floor:
             skipped += 1
         elif (m1 > 0) == (m2 > 0):

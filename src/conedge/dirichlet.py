@@ -971,18 +971,22 @@ def write_grid_csv(path, field_sol: GridField, provenance: dict | None = None):
 
 def read_grid_csv(path):
     """Rebuild a grid field from a write_grid_csv file; returns the field
-    and the header as a dict of strings."""
-    prov = {}
-    rows = []  # the column header, then one row per node
+    and the header (its leading `# key = value` lines) as a dict of strings.
+
+    The coordinate and value columns are parsed in one pass; a file whose
+    rows or coordinates (beyond 1e-9 h) disagree with the lattice rebuilt
+    from the header raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                prov[key.strip()] = val.strip()
-            else:
-                rows.append(line.split(","))
-    rows = rows[1:]
+        lines = fh.read().splitlines()
+    prov = {}
+    head = 0  # the header lines, then the column header, then the rows
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        key, _, val = line[1:].partition("=")
+        prov[key.strip()] = val.strip()
+        head += 1
+    rows = lines[head + 1:]
     h = float(prov["h"])
     origin = np.array([float(v) for v in prov["origin"].split(",")])
     shape = tuple(int(v) for v in prov["shape"].split("x"))
@@ -997,8 +1001,11 @@ def read_grid_csv(path):
     mask = dom.interior | dom.boundary  # rows come in C order, as written
     if len(rows) != mask.sum():
         raise ValueError("grid file does not match the reconstructed domain")
+    table = np.loadtxt(rows, delimiter=",", usecols=range(n + 1), ndmin=2)
+    if not np.all(np.abs(table[:, :n] - _lattice_coords(dom.origin, h, shape)[mask]) <= 1e-9 * h):
+        raise ValueError("grid file coordinates do not match the reconstructed lattice")
     vals = np.zeros(dom.shape)
-    vals[mask] = [float(row[n]) for row in rows]
+    vals[mask] = table[:, n]
     return GridField(dom, vals), prov
 
 

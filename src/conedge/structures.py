@@ -21,7 +21,10 @@ vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
 `plane_sampler` and `group_sampler` build their structures once and are
 cached per (frozen) family or group, so `sample_plane` and
 `sample_group_element` reuse them; `quaternion_triple` is cached per
-dimension and its matrices are read-only.
+dimension and its matrices are read-only.  `sample_planes` draws many
+frames of one family from one Gaussian block (`plane_block_sampler`,
+`_block_rows`), bit for bit the frames of as many `sample_plane` draws on
+one generator.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ GROUP_KINDS = ("on", "un", "spn", "spn_sp1", "spn_s1")
 
 STRUCT_TOL = 1e-12
 FRAME_TOL = 1e-10
+GS_TOL = 1e-8     # Gram-Schmidt residual below which a frame candidate is degenerate
 CANON_TOL = 1e-8
 
 
@@ -360,7 +364,7 @@ class PlaneFamily:
         return count(self.ambient, self.p) * (1 + len(rows))
 
 
-def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float = 1e-8):
+def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float):
     """Project v off the span of rows and normalize; None if degenerate."""
     w = v.copy()
     for _ in range(2):
@@ -375,12 +379,13 @@ def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float = 1e-
 def orthonormal_rows(candidates, count: int, mats=()) -> np.ndarray:
     """The first `count` candidates that survive Gram-Schmidt against the
     earlier survivors and their images under `mats`, normalized; degenerate
-    candidates are skipped and running out raises ValueError.  Nothing past
-    the last survivor is read, so random draws are taken only as needed."""
+    candidates (residual norm below GS_TOL) are skipped and running out
+    raises ValueError.  Nothing past the last survivor is read, so random
+    draws are taken only as needed."""
     rows: list[np.ndarray] = []
     out = []
     for v in candidates:
-        u = _orthonormal_against(np.asarray(v, dtype=float), rows)
+        u = _orthonormal_against(np.asarray(v, dtype=float), rows, GS_TOL)
         if u is None:
             continue
         out.append(u)
@@ -392,6 +397,32 @@ def orthonormal_rows(candidates, count: int, mats=()) -> np.ndarray:
                      "structured frame vectors found")
 
 
+def _block_rows(z: np.ndarray, mats) -> tuple[np.ndarray, int]:
+    """`orthonormal_rows` on every frame of a (k, count, n) candidate block
+    at once, with no candidate skipped: one vectorized Gram-Schmidt step per
+    slot, in the sequential order and arithmetic (`np.vecdot` is the BLAS
+    dot of `w @ r`; signed-permutation structure images are exact), so a
+    frame equals its sequential draw bit for bit.  Returns the rows and the
+    index of the first frame with a degenerate candidate (k when there is
+    none); rows from that frame on are not valid."""
+    out = np.empty_like(z)
+    bad = z.shape[0]
+    rows: list[np.ndarray] = []
+    for j in range(z.shape[1]):
+        w = z[:, j].copy()
+        for _ in range(2):
+            for r in rows:
+                w -= np.vecdot(w, r)[:, None] * r
+        nw = np.sqrt(np.vecdot(w, w))
+        if nw.min(initial=np.inf) < GS_TOL:
+            bad = min(bad, int(np.argmax(nw < GS_TOL)))
+        out[:, j] = u = w / np.maximum(nw, GS_TOL)[:, None]
+        if j + 1 < z.shape[1]:
+            rows.append(u)
+            rows.extend(u @ m.T for m in mats)
+    return out, bad
+
+
 def _gaussian_rows(rng, count: int, n: int):
     """A (count, n) Gaussian block, then at most 64 single redraws to stand
     in for degenerate draws."""
@@ -401,10 +432,14 @@ def _gaussian_rows(rng, count: int, n: int):
 
 
 def _expand(seeds: np.ndarray, mats) -> np.ndarray:
-    """Rows: each seed followed by its images under `mats`."""
-    seeds = np.asarray(seeds)
-    images = [seeds] + [seeds @ m.T for m in mats]
-    return np.stack(images, axis=1).reshape(-1, seeds.shape[1])
+    """Rows: each seed followed by its images under `mats`; a (..., count,
+    n) stack of seeds gives a (..., rows, n) stack of frames."""
+    *lead, count, n = seeds.shape
+    out = np.empty((*lead, count, 1 + len(mats), n))
+    out[..., 0, :] = seeds
+    for i, m in enumerate(mats, 1):
+        out[..., i, :] = seeds @ m.T
+    return out.reshape(*lead, count * (1 + len(mats)), n)
 
 
 def family_spec(family: PlaneFamily):
@@ -432,9 +467,51 @@ def plane_sampler(family: PlaneFamily):
     return draw
 
 
+@functools.lru_cache(maxsize=64)
+def plane_block_sampler(family: PlaneFamily):
+    """A `(seed or rng, frames) -> (frames, plane_dim, ambient)` closure over
+    the family's planes, cached per family: the frames that many
+    `plane_sampler` draws on one generator give, bit for bit, and the
+    generator left in the same state.
+
+    One Gaussian block serves all frames, and `_block_rows` builds their
+    seeds at once.  A sequential draw takes a (count, n) block, then single
+    redraws while its candidates degenerate; so when a frame of the block
+    has a degenerate candidate, the generator is rewound to that frame,
+    the frame is drawn sequentially, and a new block starts after it.
+    """
+    one = plane_sampler(family)
+    count, gs_mats, row_mats = family_spec(family)
+    n = family.ambient
+
+    def draw(seed, frames: int) -> np.ndarray:
+        rng = as_rng(seed)
+        parts = []
+        while True:
+            state = rng.bit_generator.state
+            block, bad = _block_rows(rng.normal(size=(frames, count, n)), gs_mats)
+            parts.append(_expand(block[:bad], row_mats))
+            frames -= bad
+            if not frames:
+                break
+            rng.bit_generator.state = state
+            rng.normal(size=(bad, count, n))
+            parts.append(one(rng)[None])
+            frames -= 1
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return draw
+
+
 def sample_plane(family: PlaneFamily, seed) -> np.ndarray:
     """Draw one frame (rows are orthonormal vectors spanning the plane)."""
     return plane_sampler(family)(seed)
+
+
+def sample_planes(family: PlaneFamily, seed, frames: int) -> np.ndarray:
+    """Draw `frames` frames as one block, (frames, plane_dim, ambient): the
+    frames that many `sample_plane` calls on one generator give."""
+    return plane_block_sampler(family)(seed, frames)
 
 
 def frame_relations_residual(family: PlaneFamily, frame: np.ndarray) -> float:

@@ -247,6 +247,169 @@ class TestBatchOfOne:
         assert signs.shape == tols.shape == (0,)
 
 
+def single_algebra_projector(family):
+    """The Lie algebra projector of a plane family on one skew matrix."""
+    _, mats, _ = st.family_spec(family)
+
+    def proj(x):
+        out = x
+        for m in mats:
+            out = out - m @ x @ m
+        out = out / (1 + len(mats))
+        if family.tag == "hp":
+            for m in mats:
+                out = out + (np.einsum("ij,ji->", x, m) / np.einsum("ij,ji->", m, m)) * m
+        return out
+
+    return proj
+
+
+def sequential_geometric_margin(cone, a):
+    """A GeometricCone margin, witness frame and number of descents run,
+    one descent at a time and one matrix at a time, with the
+    complex-Hermitian exponential: the reference for the stacked
+    descents."""
+    k = cone.family.plane_dim
+    proj = single_algebra_projector(cone.family)
+
+    def descend(fr):
+        p = fr.T @ fr
+        val = float(np.einsum("ij,ji->", a, p)) / k
+        scale = 1.0 + float(np.abs(a).max())
+        eta = 0.5 / scale
+        for _ in range(cone.descent_steps):
+            omega = proj(a @ p - p @ a)
+            omega = 0.5 * (omega - omega.T)
+            gn = float(np.linalg.norm(omega))
+            if gn < 1e-10 * scale:
+                break
+            slope = -gn * gn / k
+            for _ in range(16):
+                lam, vec = np.linalg.eigh(-1j * eta * omega)
+                g = np.real((vec * np.exp(-1j * lam)) @ vec.conj().T)
+                cand_fr = fr @ g.T
+                cand_p = cand_fr.T @ cand_fr
+                cand_val = float(np.einsum("ij,ji->", a, cand_p)) / k
+                if cand_val <= val + 1e-4 * eta * slope:
+                    fr, p, val = cand_fr, cand_p, cand_val
+                    eta *= 1.5
+                    break
+                eta *= 0.5
+            else:
+                break
+        return val, fr
+
+    vals = np.einsum("fij,ji->f", cone.projectors(), a) / k
+    order = np.argsort(vals)
+    best_val, best_frame = float(vals[order[0]]), cone.frames()[order[0]]
+    no_gain = runs = 0
+    for idx in order[:cone.descents]:
+        val, fr = descend(cone.frames()[idx])
+        runs += 1
+        if val < best_val - 1e-12:
+            best_val, best_frame, no_gain = val, fr, 0
+        else:
+            no_gain += 1
+            if no_gain >= 5:
+                break
+    return best_val, best_frame, runs
+
+
+class TestGeometricStack:
+    """A geometric margin_batch runs its frame descents over the whole stack
+    and gives the margins and witness frames of the one-at-a-time loop."""
+
+    CONES = {
+        "lag4": lambda: cn.GeometricCone(st.PlaneFamily("lag", 4), budget=300),
+        "gl_ijk8": lambda: cn.GeometricCone(st.PlaneFamily("gl_ijk", 8), budget=200,
+                                            descents=10, seed=4),
+        "hp8": lambda: cn.GeometricCone(st.PlaneFamily("hp", 8), budget=100,
+                                        descents=8, descent_steps=40, seed=5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_stack_equals_the_sequential_loop(self, monkeypatch, name, rng):
+        cone = self.CONES[name]()
+        n, k = cone.n, cone.family.plane_dim
+        stack = np.array([ss.random_symmetric(n, rng) + rng.uniform(-4.0, 4.0) * np.eye(n)
+                          for _ in range(30)])
+        pairs, descend = [], cn._descend_frames
+
+        def counted(proj, k, frames, a, steps):
+            pairs.append(len(a))
+            return descend(proj, k, frames, a, steps)
+
+        monkeypatch.setattr(cn, "_descend_frames", counted)
+        margins, witnesses = cone._margins_and_witnesses(stack)
+        monkeypatch.undo()
+        scale = 1.0 + np.linalg.norm(stack, axis=(1, 2))
+        runs = 0
+        for a, m, w, s in zip(stack, margins, witnesses, scale):
+            ref_m, ref_w, ref_runs = sequential_geometric_margin(cone, a)
+            runs += ref_runs
+            assert abs(m - ref_m) <= 1e-12 * s
+            # a descent ends where the value is flat to second order, so the
+            # rounding of the two exponentials moves the frame by ~sqrt(eps)
+            assert np.abs(w.T @ w - ref_w.T @ ref_w).max() <= 1e-6
+            assert abs(np.einsum("ij,ji->", a, w.T @ w) / k - m) <= 1e-12 * s
+        assert sum(pairs) == runs  # the same descents, in fewer stacked passes
+        assert len(pairs) < runs
+        assert np.array_equal(cone.margin_batch(stack), margins)
+        single = cone.contains(stack[3])
+        assert single.margin == margins[3]
+        assert np.array_equal(single.witness, witnesses[3])
+
+    @pytest.mark.parametrize("tag", st.PLANE_TAGS)
+    def test_algebra_projector_equals_the_single_matrix_form(self, tag, rng):
+        fam = st.PlaneFamily(tag, 8, 3 if tag == "grass" else None)
+        g = rng.normal(size=(6, 8, 8))
+        stack = g - g.mT
+        single = single_algebra_projector(fam)
+        out = cn._algebra_projector(fam)(stack)
+        for x, y in zip(stack, out):
+            assert np.abs(y - single(x)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_skew_exp_is_orthogonal_and_equals_expm(self, n, rng):
+        from scipy.linalg import expm
+        g = rng.normal(size=(12, n, n)) * rng.uniform(0.0, 3.0, size=(12, 1, 1))
+        omega = g - g.mT
+        omega[0] = 0.0
+        omega[1, :, 0] = omega[1, 0, :] = 0.0  # rank deficient
+        t = rng.uniform(-2.0, 2.0, size=12)
+        g_all = cn._skew_exp(omega)(t, slice(None))
+        for w, ti, gi in zip(omega, t, g_all):
+            assert np.abs(gi @ gi.T - np.eye(n)).max() <= 1e-13
+            assert np.abs(gi - expm(ti * w)).max() <= 1e-13
+        rows = np.array([7, 2, 5])
+        assert np.array_equal(cn._skew_exp(omega)(t[rows], rows), g_all[rows])
+
+    @pytest.mark.parametrize("name, value", [
+        ("budget", 2.5), ("budget", 0), ("budget", -3), ("budget", True), ("budget", "10"),
+        ("descents", 0), ("descents", 1.5), ("descent_steps", 0), ("descent_steps", None),
+        ("seed", 1.5), ("seed", "0"), ("seed", None),
+    ])
+    def test_bad_arguments_rejected(self, monkeypatch, name, value):
+        def no_draws(*args):
+            raise AssertionError("frames drawn before the arguments were checked")
+
+        monkeypatch.setattr(st, "sample_planes", no_draws)
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            cn.GeometricCone(st.PlaneFamily("lag", 4), **{name: value})
+
+    def test_cross_validation_reads_a_handle_reference_by_batch(self, monkeypatch):
+        closed = cat.build_cone("P_LAG", 4)
+        geo = cn.GeometricCone(st.PlaneFamily("lag", 4), budget=300, descents=10, seed=1)
+        by_call = cn.cross_validate_oracles(closed, geo.margin, budget=40, seed=8)
+
+        def no_single(a):
+            raise AssertionError("reference read one matrix at a time")
+
+        monkeypatch.setattr(geo, "margin", no_single)
+        assert cn.cross_validate_oracles(closed, geo, budget=40, seed=8) == by_call
+        assert by_call["agree"] > 0
+
+
 class TestOptimizerAgainstClosedForms:
     @pytest.mark.parametrize("name,n", [("P_C", 4), ("P_LAG", 4), ("P_H", 4),
                                         ("GL_IJK", 8), ("laplace", 3)])

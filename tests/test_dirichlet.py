@@ -1030,6 +1030,68 @@ class TestGridIO:
         self.row_by_row_csv(tmp_path / "ref.csv", u, prov)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @staticmethod
+    def row_by_row_read(path):
+        """The reader as one parsed line at a time: the reference.  It
+        reads the value column only, never the coordinates."""
+        prov, rows = {}, []
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if line.startswith("#"):
+                    key, _, val = line[1:].partition("=")
+                    prov[key.strip()] = val.strip()
+                else:
+                    rows.append(line.split(","))
+        rows = rows[1:]
+        h = float(prov["h"])
+        origin = np.array([float(v) for v in prov["origin"].split(",")])
+        shape = tuple(int(v) for v in prov["shape"].split("x"))
+        n = len(shape)
+        if prov["kind"] == "ball":
+            dom = dh.GridDomain.ball(float(prov["radius"]), h,
+                                     center=origin + (np.array(shape) - 1) / 2 * h, dim=n)
+        else:
+            dom = dh.GridDomain.box(origin, origin + (np.array(shape) - 1) * h, h)
+        vals = np.zeros(dom.shape)
+        vals[dom.interior | dom.boundary] = [float(row[n]) for row in rows]
+        return dh.GridField(dom, vals), prov
+
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.ball(1.0, 1 / 32),
+        dh.GridDomain.box([-1.0, 0.0, -0.5], [1.0, 1.5, 0.5], 0.25),
+        dh.GridDomain.ball(1.0, 1 / 16, center=[0.5, -0.25]),
+        dh.GridDomain.box([-2.5], [3.0], 0.125),
+    ], ids=["disk", "box3", "offcenter_disk", "interval"])
+    def test_csv_read_equals_the_row_by_row_reader(self, tmp_path, rng, dom):
+        u = dh.GridField(dom, rng.normal(size=dom.shape) * 10.0 ** rng.integers(
+            -20, 20, size=dom.shape))
+        u.values[(1,) * dom.n] = -0.0
+        path = tmp_path / "grid.csv"
+        dh.write_grid_csv(path, u, {"seed": 3, "note": "a = b"})
+        back, prov = dh.read_grid_csv(path)
+        ref, ref_prov = self.row_by_row_read(path)
+        assert prov == ref_prov
+        assert back.domain.shape == ref.domain.shape
+        assert np.array_equal(back.domain.interior, ref.domain.interior)
+        assert np.array_equal(back.values, ref.values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(ref.values))
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_csv_edited_coordinate_raises(self, tmp_path, column):
+        dom = dh.GridDomain.ball(1.0, 0.25)
+        u = dh.GridField(dom, np.ones(dom.shape))
+        path = tmp_path / "grid.csv"
+        dh.write_grid_csv(path, u)
+        lines = path.read_text().splitlines()
+        row = lines[-5].split(",")
+        row[column] = repr(float(row[column]) + 0.01 * dom.h)
+        lines[-5] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert self.row_by_row_read(path)[0].values.shape == dom.shape  # never noticed
+        with pytest.raises(ValueError, match="coordinates do not match"):
+            dh.read_grid_csv(path)
+
     def test_ppm(self, tmp_path):
         dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.5)
         u = dh.GridField(dom, np.linspace(0, 1, 25).reshape(5, 5))

@@ -257,6 +257,43 @@ class TestPlaneSamplers:
             st.PlaneFamily("grass", 3, 0)
 
 
+class TestPlaneBlockSampler:
+    """sample_planes draws, as one Gaussian block, the frames of as many
+    sample_plane draws on one generator, and leaves it in the same state."""
+
+    @pytest.mark.parametrize("tag", st.PLANE_TAGS)
+    def test_block_equals_sequential_draws(self, tag):
+        fam = st.PlaneFamily(tag, 8, 3 if tag == "grass" else None)
+        seq_rng, blk_rng = np.random.default_rng(21), np.random.default_rng(21)
+        seq = np.array([st.sample_plane(fam, seq_rng) for _ in range(40)])
+        blk = st.sample_planes(fam, blk_rng, 40)
+        assert blk.shape == (40, fam.plane_dim, 8)
+        assert np.abs(blk - seq).max() <= 1e-14
+        assert blk_rng.bit_generator.state == seq_rng.bit_generator.state
+        # an int seed draws from a generator seeded with it
+        assert np.abs(st.sample_planes(fam, 21, 40) - seq).max() <= 1e-14
+        assert st.sample_planes(fam, 21, 0).shape == (0, fam.plane_dim, 8)
+
+    @pytest.mark.parametrize("fam", [st.PlaneFamily("grass", 3, 2), st.PlaneFamily("lag", 4),
+                                     st.PlaneFamily("gl_ijk", 8)], ids=["grass", "lag", "gl_ijk"])
+    def test_degenerate_candidates_take_the_redraw_path(self, monkeypatch, fam):
+        # a residual floor near a Gaussian residual's size makes candidates
+        # degenerate often, in the sequential draws and in the block alike
+        monkeypatch.setattr(st, "GS_TOL", 0.6)
+        seq_rng, blk_rng = np.random.default_rng(9), np.random.default_rng(9)
+        seq = np.array([st.sample_plane(fam, seq_rng) for _ in range(50)])
+        blk = st.sample_planes(fam, blk_rng, 50)
+        assert np.abs(blk - seq).max() <= 1e-14
+        assert blk_rng.bit_generator.state == seq_rng.bit_generator.state
+        # the redraws read past the 50 blocks that draws without a degenerate
+        # candidate read
+        count = st.family_spec(fam)[0]
+        plain = np.random.default_rng(9)
+        plain.normal(size=(50, count, fam.ambient))
+        assert plain.bit_generator.state != blk_rng.bit_generator.state
+        assert max(st.frame_relations_residual(fam, f) for f in blk) <= 1e-10
+
+
 class TestOrthonormalRows:
     def test_skips_candidates_in_the_span_of_images(self):
         i4 = st.complex_structure(4)
