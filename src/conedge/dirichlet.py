@@ -28,6 +28,13 @@ add to the diagonal), which errs towards omega >= omega_opt, where SOR
 still converges at rate omega - 1.  Nonlinear margins, W with
 off-diagonal entries and the bisection reference keep omega = 1.
 
+Every reader of the stencil (the node pencil, the linear operator, the
+ghost refresh, central_differences) indexes the columns of one offset
+table, _stencil_offsets.  Its domain-only half, each interior row's
+lattice index at every offset and a ball's ghost segments, is built once
+per domain on its geometry record (_stencil_geometry); a solve adds only
+the floored crossing fractions and the boundary data (_build_stencil).
+
 Ball domains use cut cells: the boundary value is imposed at the first
 exterior node along each axis through a linear interpolation weight, so
 the axis ghost value is tied to the center unknown; each node update
@@ -48,6 +55,7 @@ a ghost node (an off-diagonal W at a corner ghost; never a diagonal W).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +73,17 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_point(name: str, value) -> np.ndarray:
+    """value as a finite point with 1..4 coordinates (the grid dimension)."""
+    point = np.atleast_1d(np.asarray(value, dtype=float))
+    if point.ndim != 1 or not 1 <= point.size <= 4:
+        raise ValueError(f"{name} must be a point with 1..4 coordinates "
+                         f"(the grid dimension), got shape {point.shape}")
+    if not np.isfinite(point).all():
+        raise ValueError(f"{name} must be finite, got {point.tolist()!r}")
+    return point
+
+
 def _lattice_coords(origin: np.ndarray, h: float, shape: tuple) -> np.ndarray:
     axes = [origin[i] + h * np.arange(size) for i, size in enumerate(shape)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -80,6 +99,8 @@ class _Geometry:
     boundary_flat: np.ndarray          # flat indices of the boundary mask
     boundary_pts: np.ndarray
     boundary_positions: np.ndarray     # see GridDomain.boundary_positions
+    # (nbs, g_rows, g_cols, g_cross), written once by _stencil_geometry
+    stencil: tuple | None = None
     # (points, indices kept after deduplication) of the envelope's
     # boundary samples, written once by _envelope_constraint_points
     envelope: tuple | None = None
@@ -90,10 +111,13 @@ class GridDomain:
     """Regular lattice over a box or ball with interior/boundary masks.
 
     The lattice tables (coordinates, mask indices and points, boundary
-    positions, envelope samples) form one geometry record, built on first
-    use and kept for the life of the domain; its arrays, coords() and
-    boundary_positions() among them, are shared and read-only, so a caller
-    that writes into one copies it first."""
+    positions, stencil neighbours and ghost segments, envelope samples)
+    form one geometry record, built on first use and kept for the life of
+    the domain; its arrays, coords() and boundary_positions() among them,
+    are shared and read-only, so a caller that writes into one copies it
+    first.  A ball's center is stored as origin + half h, the value a grid
+    file's origin rebuilds; it differs from the given center only by the
+    rounding of origin."""
 
     n: int
     shape: tuple
@@ -109,11 +133,10 @@ class GridDomain:
 
     @staticmethod
     def box(lo, hi, h: float) -> "GridDomain":
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo, hi = _check_point("lo", lo), _check_point("hi", hi)
+        if hi.size != lo.size:
+            raise ValueError(f"hi has {hi.size} coordinates, lo has {lo.size}")
         n = lo.size
-        if not 1 <= n <= 4:
-            raise ValueError("grid dimension must be 1..4")
         _check_positive("h", h)
         counts = []
         for a, b in zip(lo, hi):
@@ -131,17 +154,14 @@ class GridDomain:
 
     @staticmethod
     def ball(radius: float, h: float, center=None, dim: int = 2) -> "GridDomain":
-        if center is None:
-            center = np.zeros(dim)
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = _check_point("center", np.zeros(dim) if center is None else center)
         n = center.size
-        if not 1 <= n <= 4:
-            raise ValueError("grid dimension must be 1..4")
         _check_positive("radius", radius)
         _check_positive("h", h)
         half = int(np.ceil(radius / h)) + 2
         shape = tuple([2 * half + 1] * n)
         origin = center - half * h
+        center = origin + half * h
         pts = _lattice_coords(origin, float(h), shape).reshape(-1, n)
         inside = ((pts - center) ** 2).sum(axis=1) < radius**2
         inside = inside.reshape(shape)
@@ -224,33 +244,33 @@ def boundary_values(dom: GridDomain, phi) -> np.ndarray:
 # stencil tables
 # ----------------------------------------------------------------------
 
-@dataclass
-class _Stencil:
-    dom: GridDomain
-    flat_interior: np.ndarray          # (M,) flat indices, lex order
-    axis_plus: np.ndarray              # (M, n) flat neighbor indices
-    axis_minus: np.ndarray
-    ghost_plus: np.ndarray             # (M, n) bool: axis neighbor outside
-    ghost_minus: np.ndarray
-    theta_plus: np.ndarray             # (M, n) crossing fraction in (0, 1]
-    theta_minus: np.ndarray
-    phi_plus: np.ndarray               # (M, n) boundary data at the crossing
-    phi_minus: np.ndarray
-    pairs: list                        # [(i, j)] with i < j
-    corner_pp: np.ndarray              # (M, P) flat indices
-    corner_mm: np.ndarray
-    corner_pm: np.ndarray
-    corner_mp: np.ndarray
-    red_mask: np.ndarray               # (M,) parity coloring of interior nodes
-    pencil_d: np.ndarray               # (M, n) center coefficient 1/theta+ + 1/theta-
-    # flattened ghost tables, filled by the builder
-    g_rows: np.ndarray = None
-    g_flat: np.ndarray = None
-    g_theta: np.ndarray = None
-    g_phi: np.ndarray = None
-    g_unique: np.ndarray = None
-    g_inverse: np.ndarray = None
-    g_counts: np.ndarray = None
+@functools.cache
+def _stencil_offsets(n: int) -> tuple[np.ndarray, tuple]:
+    """The stencil's (K, n) lattice offsets, the column order of every
+    stencil table: the center, +e_i, -e_i, then e_i + e_j, -e_i - e_j,
+    e_i - e_j, e_j - e_i for the pairs i < j, each block in pair order;
+    and the pairs as np.triu_indices(n, 1).  Cached and read-only."""
+    unit = np.eye(n, dtype=np.int64)
+    pairs = np.triu_indices(n, 1)
+    ei, ej = unit[pairs[0]], unit[pairs[1]]
+    offsets = np.vstack([np.zeros((1, n), dtype=np.int64), unit, -unit,
+                         ei + ej, -ei - ej, ei - ej, ej - ei])
+    for arr in (offsets, *pairs):
+        arr.setflags(write=False)
+    return offsets, pairs
+
+
+def _stencil_hessians(v: np.ndarray, n: int, h2: float) -> np.ndarray:
+    """Central second differences (R, n, n) from stencil values (R, K) in
+    the column order of _stencil_offsets."""
+    _, pairs = _stencil_offsets(n)
+    c = v[:, 2 * n + 1:].reshape(v.shape[0], 4, pairs[0].size)
+    out = np.zeros((v.shape[0], n, n))
+    out.reshape(-1, n * n)[:, ::n + 1] = (
+        v[:, 1:n + 1] + v[:, n + 1:2 * n + 1] - 2.0 * v[:, :1]) / h2
+    out[:, pairs[0], pairs[1]] = out[:, pairs[1], pairs[0]] = (
+        c[:, 0] + c[:, 1] - c[:, 2] - c[:, 3]) / (4.0 * h2)
+    return out
 
 
 def _sphere_crossing(dom: GridDomain, xs: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -264,93 +284,87 @@ def _sphere_crossing(dom: GridDomain, xs: np.ndarray, step: np.ndarray) -> np.nd
     return (-b + np.sqrt(disc)) / (2 * a)
 
 
+def _stencil_geometry(dom: GridDomain) -> tuple:
+    """(nbs, g_rows, g_cols, g_cross), built once per domain: the (M, K)
+    flat lattice index of every interior row at every stencil offset, and
+    a ball's ghost segments, one per (row, offset column) whose node lies
+    outside the interior, with the unclipped fraction where the segment
+    from the row along the offset leaves the sphere.  The segments run
+    column by column, each axis's two sides in turn and then each pair's
+    four corners: the order in which the ghost refresh sums owners."""
+    geom = dom.geometry
+    if geom.stencil is None:
+        n, shape = dom.n, dom.shape
+        offsets, _ = _stencil_offsets(n)
+        strides = np.array([int(np.prod(shape[i + 1:], dtype=np.int64)) for i in range(n)],
+                           dtype=np.int64)
+        nbs = geom.interior_flat[:, None] + offsets @ strides
+        segments = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+        if dom.kind == "ball":
+            outside = ~dom.interior.ravel()[nbs]
+            sides = np.arange(1, 2 * n + 1).reshape(2, n).T
+            corners = np.arange(2 * n + 1, len(offsets)).reshape(4, -1).T
+            for col in np.concatenate([sides.ravel(), corners.ravel()]):
+                rows = np.flatnonzero(outside[:, col])
+                segments.append((rows, np.full(rows.size, col), _sphere_crossing(
+                    dom, geom.interior_pts[rows], dom.h * offsets[col])))
+        tables = (nbs, *(np.concatenate(part) for part in zip(*segments)))
+        for arr in tables:
+            arr.setflags(write=False)
+        object.__setattr__(geom, "stencil", tables)
+    return geom.stencil
+
+
+@dataclass(frozen=True)
+class _Stencil:
+    dom: GridDomain
+    flat_interior: np.ndarray          # (M,) flat indices, lex order
+    nbs: np.ndarray                    # (M, K) flat index at each stencil offset
+    # (M, 2n) per axis side s, offset column 1 + s: the neighbour is a
+    # ghost, the crossing fraction in (0, 1], the boundary data there
+    ghost: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    red_mask: np.ndarray               # (M,) parity coloring of interior nodes
+    pencil_d: np.ndarray               # (M, n) center coefficient 1/theta+ + 1/theta-
+    # per ghost segment: owner row, ghost flat index, floored fraction and
+    # boundary data; the distinct ghosts, each segment's ghost among them
+    # and each ghost's owner count
+    g_rows: np.ndarray
+    g_flat: np.ndarray
+    g_theta: np.ndarray
+    g_phi: np.ndarray
+    g_unique: np.ndarray
+    g_inverse: np.ndarray
+    g_counts: np.ndarray
+
+
 def _build_stencil(dom: GridDomain, phi) -> _Stencil:
+    """The domain's stencil geometry with each crossing fraction floored at
+    THETA_FLOOR and phi evaluated at the floored crossing points; corner
+    ghosts are extrapolated like axis ghosts but lagged within a sweep, so
+    the node update stays monotone in the center value."""
     n = dom.n
-    shape = dom.shape
-    strides = np.array([int(np.prod(shape[i + 1:], dtype=np.int64)) for i in range(n)],
-                       dtype=np.int64)
-    inside_flat = dom.interior.ravel()
+    nbs, g_rows, g_cols, g_cross = _stencil_geometry(dom)
+    offsets, _ = _stencil_offsets(n)
     flat_interior = dom.geometry.interior_flat
-    coords = dom.geometry.interior_pts
-    multi = np.array(np.unravel_index(flat_interior, shape)).T  # (M, n)
-
-    m = flat_interior.size
-    axis_plus = flat_interior[:, None] + strides
-    axis_minus = flat_interior[:, None] - strides
-    theta_plus = np.ones((m, n))
-    theta_minus = np.ones((m, n))
-    phi_plus = np.zeros((m, n))
-    phi_minus = np.zeros((m, n))
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    si = strides[[i for i, _ in pairs]]
-    sj = strides[[j for _, j in pairs]]
-    corner_pp = flat_interior[:, None] + si + sj
-    corner_mm = flat_interior[:, None] - si - sj
-    corner_pm = flat_interior[:, None] + si - sj
-    corner_mp = flat_interior[:, None] - si + sj
-
-    # ghost segments (rows, ghost flat index, unit direction): axis ghosts,
-    # then the diagonal (corner) ghosts, all extrapolated from their owners
-    # through the sphere crossing; corners are lagged within a sweep so the
-    # node update stays monotone in the center value
-    segments = []
-    if dom.kind == "ball":
-        ghost_plus = ~inside_flat[axis_plus]
-        ghost_minus = ~inside_flat[axis_minus]
-        for axis in range(n):
-            for ghosts, nbs, sign in ((ghost_plus, axis_plus, 1.0),
-                                      (ghost_minus, axis_minus, -1.0)):
-                rows = np.flatnonzero(ghosts[:, axis])
-                direction = np.zeros(n)
-                direction[axis] = sign
-                segments.append((rows, nbs[rows, axis], direction))
-        for idx, (i, j) in enumerate(pairs):
-            for table, di, dj in ((corner_pp, 1, 1), (corner_mm, -1, -1),
-                                  (corner_pm, 1, -1), (corner_mp, -1, 1)):
-                rows = np.flatnonzero(~inside_flat[table[:, idx]])
-                if rows.size == 0:
-                    continue
-                direction = np.zeros(n)
-                direction[i], direction[j] = di, dj
-                segments.append((rows, table[rows, idx], direction))
-    else:
-        ghost_plus = np.zeros((m, n), dtype=bool)
-        ghost_minus = np.zeros((m, n), dtype=bool)
-
-    thetas, points = [], []
-    for rows, _, direction in segments:
-        t = np.clip(_sphere_crossing(dom, coords[rows], dom.h * direction), 1e-12, 1.0)
-        t = np.maximum(t, THETA_FLOOR)
-        thetas.append(t)
-        points.append(coords[rows] + (t * dom.h)[:, None] * direction)
-    if segments:
-        g_rows = np.concatenate([s[0] for s in segments])
-        g_flat = np.concatenate([s[1] for s in segments])
-        g_theta = np.concatenate(thetas)
-        g_phi = np.asarray(phi(np.vstack(points)), dtype=float)
-        phis = np.split(g_phi, np.cumsum([t.size for t in thetas])[:-1])
-        for axis in range(n):
-            for k, table_t, table_phi in ((2 * axis, theta_plus, phi_plus),
-                                          (2 * axis + 1, theta_minus, phi_minus)):
-                rows = segments[k][0]
-                table_t[rows, axis] = thetas[k]
-                table_phi[rows, axis] = phis[k]
-    else:
-        g_rows, g_flat = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        g_theta, g_phi = np.zeros(0), np.zeros(0)
-
-    red_mask = (multi.sum(axis=1) % 2 == 0)
-    stencil = _Stencil(dom, flat_interior, axis_plus, axis_minus,
-                       ghost_plus, ghost_minus, theta_plus, theta_minus,
-                       phi_plus, phi_minus, pairs,
-                       corner_pp, corner_mm, corner_pm, corner_mp, red_mask,
-                       1.0 / theta_plus + 1.0 / theta_minus)
-    stencil.g_rows, stencil.g_flat = g_rows, g_flat
-    stencil.g_theta, stencil.g_phi = g_theta, g_phi
-    stencil.g_unique, stencil.g_inverse, stencil.g_counts = np.unique(
-        g_flat, return_inverse=True, return_counts=True)
-    return stencil
+    g_theta = np.clip(g_cross, THETA_FLOOR, 1.0)
+    g_phi = np.zeros(0)
+    if g_rows.size:
+        g_phi = np.asarray(phi(dom.geometry.interior_pts[g_rows]
+                               + (g_theta * dom.h)[:, None] * offsets[g_cols]), dtype=float)
+    ghost = np.zeros((flat_interior.size, 2 * n), dtype=bool)
+    theta = np.ones(ghost.shape)
+    phi_side = np.zeros(ghost.shape)
+    axis = g_cols <= 2 * n
+    at = (g_rows[axis], g_cols[axis] - 1)
+    ghost[at], theta[at], phi_side[at] = True, g_theta[axis], g_phi[axis]
+    g_flat = nbs[g_rows, g_cols]
+    return _Stencil(dom, flat_interior, nbs, ghost, theta, phi_side,
+                    np.argwhere(dom.interior).sum(axis=1) % 2 == 0,
+                    1.0 / theta[:, :n] + 1.0 / theta[:, n:],
+                    g_rows, g_flat, g_theta, g_phi,
+                    *np.unique(g_flat, return_inverse=True, return_counts=True))
 
 
 def _lex_fronts(stencil: _Stencil) -> list[np.ndarray]:
@@ -383,30 +397,14 @@ def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
     t + (phi - t) / theta through the sphere crossing, which makes
     d_i = 1/theta+_i + 1/theta-_i (2 on a box); nothing is written to the
     array.  Corners read the array, lagged within a sweep."""
-    dom = stencil.dom
-    h2 = dom.h * dom.h
-
-    def at(table):                # take gathers rows faster than indexing
-        return table.take(rows, axis=0)
-
-    center = flat_vals[at(stencil.flat_interior)]
-    up = flat_vals[at(stencil.axis_plus)]
-    dn = flat_vals[at(stencil.axis_minus)]
-    for vals, ghost, theta, phi in (
-            (up, stencil.ghost_plus, stencil.theta_plus, stencil.phi_plus),
-            (dn, stencil.ghost_minus, stencil.theta_minus, stencil.phi_minus)):
-        r, c = at(ghost).nonzero()
-        if r.size:
-            vals[r, c] = center[r] + (phi[rows[r], c] - center[r]) / theta[rows[r], c]
-    diag = (up + dn - 2.0 * center[:, None]) / h2
-    cross = (flat_vals[at(stencil.corner_pp)] + flat_vals[at(stencil.corner_mm)]
-             - flat_vals[at(stencil.corner_pm)] - flat_vals[at(stencil.corner_mp)]) / (4.0 * h2)
-    out = np.zeros((rows.size, dom.n, dom.n))
-    for i in range(dom.n):
-        out[:, i, i] = diag[:, i]
-    for idx, (i, j) in enumerate(stencil.pairs):
-        out[:, i, j] = out[:, j, i] = cross[:, idx]
-    return out, at(stencil.pencil_d)
+    # take gathers rows faster than indexing
+    v = flat_vals[stencil.nbs.take(rows, axis=0)]
+    r, c = stencil.ghost.take(rows, axis=0).nonzero()
+    if r.size:
+        t = v[r, 0]
+        v[r, c + 1] = t + (stencil.phi[rows[r], c] - t) / stencil.theta[rows[r], c]
+    return (_stencil_hessians(v, stencil.dom.n, stencil.dom.h * stencil.dom.h),
+            stencil.pencil_d.take(rows, axis=0))
 
 
 def _linear_operator(stencil: _Stencil, weight: np.ndarray):
@@ -418,66 +416,47 @@ def _linear_operator(stencil: _Stencil, weight: np.ndarray):
     # scipy.sparse costs 20 MB and 0.2 s to import; only linear margins need it
     from scipy import sparse
 
-    dom = stencil.dom
-    h2 = dom.h * dom.h
+    n = stencil.dom.n
+    h2 = stencil.dom.h * stencil.dom.h
+    _, pairs = _stencil_offsets(n)
     m = stencil.flat_interior.size
-    rows = np.arange(m)
-    center = np.zeros(m)
+    coef = np.zeros(stencil.nbs.shape)      # the weight of each stencil value
     const = np.zeros(m)
-    r_parts, c_parts, v_parts = [rows], [stencil.flat_interior], []
-    for i in range(dom.n):
+    center = coef[:, 0]
+    for i in range(n):
         w = weight[i, i] / h2
         if w == 0.0:
             continue
         center -= 2.0 * w
-        for nbs, ghost, theta, phi in (
-                (stencil.axis_plus, stencil.ghost_plus, stencil.theta_plus, stencil.phi_plus),
-                (stencil.axis_minus, stencil.ghost_minus, stencil.theta_minus, stencil.phi_minus)):
-            g = ghost[:, i]
-            center[g] += w * (1.0 - 1.0 / theta[g, i])
-            const[g] += w * phi[g, i] / theta[g, i]
-            r_parts.append(rows[~g])
-            c_parts.append(nbs[~g, i])
-            v_parts.append(np.full(r_parts[-1].size, w))
-    for idx, (i, j) in enumerate(stencil.pairs):
-        w = 2.0 * weight[i, j] / (4.0 * h2)
-        if w == 0.0:
-            continue
-        for table, sign in ((stencil.corner_pp, 1.0), (stencil.corner_mm, 1.0),
-                            (stencil.corner_pm, -1.0), (stencil.corner_mp, -1.0)):
-            r_parts.append(rows)
-            c_parts.append(table[:, idx])
-            v_parts.append(np.full(m, sign * w))
-    op = sparse.csr_matrix(
-        (np.concatenate([center] + v_parts),
-         (np.concatenate(r_parts), np.concatenate(c_parts))),
-        shape=(m, dom.interior.size))
+        for s in (i, n + i):
+            g = stencil.ghost[:, s]
+            center[g] += w * (1.0 - 1.0 / stencil.theta[g, s])
+            const[g] += w * stencil.phi[g, s] / stencil.theta[g, s]
+            coef[~g, 1 + s] = w
+    # the cross difference reads e_i + e_j and its negative with sign +,
+    # the other two corners with sign -
+    coef[:, 2 * n + 1:] = (np.repeat([1.0, 1.0, -1.0, -1.0], pairs[0].size)
+                           * np.tile(2.0 * weight[pairs] / (4.0 * h2), 4))
+    keep = coef != 0.0
+    keep[:, 0] = True
+    op = sparse.csr_matrix((coef[keep], (np.nonzero(keep)[0], stencil.nbs[keep])),
+                           shape=(m, stencil.dom.interior.size))
     return op, const
 
 
 def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
     """Central first and second differences (gradient, Hessian) at one
     interior node; both exact on quadratics.  The stencil values, ghosts
-    included, are read from the array in one gather: the center, +e_i,
-    -e_i, then e_i + e_j, -e_i - e_j, e_i - e_j, e_j - e_i for i < j."""
+    included, are read from the array in one gather."""
     dom = u.domain
     idx = tuple(int(i) for i in np.atleast_1d(index))
     if not dom.interior[idx]:
         raise ValueError(f"node {idx} is not interior")
     n = dom.n
-    h2 = dom.h * dom.h
-    unit = np.eye(n, dtype=int)
-    pairs = np.triu_indices(n, 1)
-    ei, ej = unit[pairs[0]], unit[pairs[1]]
-    offsets = np.vstack([np.zeros((1, n), dtype=int), unit, -unit,
-                         ei + ej, -ei - ej, ei - ej, ej - ei])
+    offsets, _ = _stencil_offsets(n)
     v = u.values[tuple((np.array(idx) + offsets).T)]
-    up, dn = v[1:n + 1], v[n + 1:2 * n + 1]
-    pp, mm, pm, mp = v[2 * n + 1:].reshape(4, -1)
-    grad = (up - dn) / (2 * dom.h)
-    hess = np.diag((up + dn - 2 * v[0]) / h2)
-    hess[pairs] = hess[pairs[::-1]] = (pp + mm - pm - mp) / (4 * h2)
-    return grad, hess
+    grad = (v[1:n + 1] - v[n + 1:2 * n + 1]) / (2 * dom.h)
+    return grad, _stencil_hessians(v[None, :], n, dom.h * dom.h)[0]
 
 
 def discrete_hessian(u: GridField, index) -> np.ndarray:
@@ -488,12 +467,11 @@ def discrete_hessian(u: GridField, index) -> np.ndarray:
 def _refresh_ghosts(stencil: _Stencil, flat_vals: np.ndarray):
     """Set every ghost, axis and corner, from its owners (mean over owner
     constraints); node updates read the corner ghosts, lagged."""
-    if stencil.dom.kind != "ball" or stencil.g_flat.size == 0:
+    if stencil.g_flat.size == 0:
         return
     t = flat_vals[stencil.flat_interior[stencil.g_rows]]
-    vals = t + (stencil.g_phi - t) / stencil.g_theta
-    sums = np.zeros(stencil.g_unique.size)
-    np.add.at(sums, stencil.g_inverse, vals)
+    sums = np.bincount(stencil.g_inverse, weights=t + (stencil.g_phi - t) / stencil.g_theta,
+                       minlength=stencil.g_unique.size)
     flat_vals[stencil.g_unique] = sums / stencil.g_counts
 
 
@@ -504,11 +482,7 @@ def _reads_ghosts(stencil: _Stencil, op) -> bool:
     for a diagonal W, no corner."""
     if stencil.g_unique.size == 0:
         return False
-    if op is not None:
-        read = op.indices
-    else:
-        read = np.concatenate([table.ravel() for table in (
-            stencil.corner_pp, stencil.corner_mm, stencil.corner_pm, stencil.corner_mp)])
+    read = op.indices if op is not None else stencil.nbs[:, 2 * stencil.dom.n + 1:]
     return bool(np.isin(stencil.g_unique, read).any())
 
 
@@ -715,37 +689,21 @@ class EnvelopeOrderingError(RuntimeError):
     """The envelope exceeded the sweep solution beyond tolerance."""
 
 
-def _ball_crossing_points(dom: GridDomain) -> np.ndarray:
-    """Sphere crossings of axis segments leaving the ball.  The solver's
-    data points differ: it floors each crossing fraction at THETA_FLOOR,
-    and it also imposes data where diagonal (corner) segments cross."""
-    inside = dom.interior
-    idx_in = np.argwhere(inside)
-    xs = dom.origin + idx_in * dom.h
-    pts = []
-    for axis in range(dom.n):
-        for sign in (1, -1):
-            nb = idx_in.copy()
-            nb[:, axis] += sign
-            leavers = xs[~inside[tuple(nb.T)]]
-            step = np.zeros(dom.n)
-            step[axis] = sign * dom.h
-            t = np.clip(_sphere_crossing(dom, leavers, step), 0.0, 1.0)
-            pts.append(leavers + t[:, None] * step)
-    return np.vstack(pts)
-
-
 def _envelope_constraint_points(dom: GridDomain, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated boundary samples and phi there.  The geometry depends
-    on the domain alone, so it is built once and kept on the domain; phi is
-    evaluated on every call, at all points before deduplication."""
+    """Deduplicated boundary samples and phi there: the boundary positions
+    and, on a ball, the sphere crossings of the axis ghost segments (the
+    solver floors the same fractions at THETA_FLOOR and also imposes data
+    where corner segments cross).  The geometry depends on the domain
+    alone, so it is built once and kept on the domain; phi is evaluated on
+    every call, at all points before deduplication."""
     geom = dom.geometry
     if geom.envelope is None:
-        pts = geom.boundary_positions
-        if dom.kind == "ball":
-            crossings = _ball_crossing_points(dom)
-            if crossings.size:
-                pts = np.vstack([pts, crossings])
+        _, g_rows, g_cols, g_cross = _stencil_geometry(dom)
+        offsets, _ = _stencil_offsets(dom.n)
+        axis = g_cols <= 2 * dom.n
+        t = np.clip(g_cross[axis], 0.0, 1.0)
+        pts = np.vstack([geom.boundary_positions, geom.interior_pts[g_rows[axis]]
+                         + (t * dom.h)[:, None] * offsets[g_cols[axis]]])
         # deduplicate (ball projections can collide)
         key = np.round(pts / (dom.h * 1e-6))
         _, keep = np.unique(key, axis=0, return_index=True)
@@ -1002,7 +960,7 @@ def read_grid_csv(path):
     if len(rows) != mask.sum():
         raise ValueError("grid file does not match the reconstructed domain")
     table = np.loadtxt(rows, delimiter=",", usecols=range(n + 1), ndmin=2)
-    if not np.all(np.abs(table[:, :n] - _lattice_coords(dom.origin, h, shape)[mask]) <= 1e-9 * h):
+    if not np.all(np.abs(table[:, :n] - dom.coords()[mask]) <= 1e-9 * h):
         raise ValueError("grid file coordinates do not match the reconstructed lattice")
     vals = np.zeros(dom.shape)
     vals[mask] = table[:, n]

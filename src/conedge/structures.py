@@ -376,7 +376,7 @@ def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float):
     return w / nw
 
 
-def orthonormal_rows(candidates, count: int, mats=()) -> np.ndarray:
+def orthonormal_rows(candidates, count: int, mats) -> np.ndarray:
     """The first `count` candidates that survive Gram-Schmidt against the
     earlier survivors and their images under `mats`, normalized; degenerate
     candidates (residual norm below GS_TOL) are skipped and running out

@@ -476,6 +476,12 @@ class TestCli:
         assert run_cli([command, "--cone", "P", "--h", "0", "--dry-run"]) == 2
         assert "h must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--hi", "inf"), ("--lo", "nan")])
+    def test_non_finite_box_bound_is_a_usage_error(self, flag, value, capsys):
+        # the box rejects the bound where it enters: exit 2, no traceback
+        assert run_cli(["solve", "--cone", "laplace", flag, value, "--dry-run"]) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve"])  # missing required --cone

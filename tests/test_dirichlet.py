@@ -59,6 +59,27 @@ class TestGridDomain:
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             dh.GridDomain.ball(radius, 0.25)
 
+    def test_box_bounds_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="hi has 3 coordinates, lo has 2"):
+            dh.GridDomain.box([0, 0], [1, 1, 1], 0.25)
+
+    @pytest.mark.parametrize("lo, hi, name", [
+        ([0.0, np.nan], [1.0, 1.0], "lo"),
+        ([0.0, 0.0], [np.nan, 1.0], "hi"),
+        ([0.0, 0.0], [1.0, np.inf], "hi"),
+        ([-np.inf], [1.0], "lo"),
+        ([[0.0, 0.0]], [[1.0, 1.0]], "lo"),
+    ])
+    def test_box_bounds_must_be_finite_points(self, lo, hi, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            dh.GridDomain.box(lo, hi, 0.25)
+
+    @pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, np.inf], [[0.0, 0.0]],
+                                        [0.0] * 5])
+    def test_ball_center_must_be_a_finite_point(self, center):
+        with pytest.raises(ValueError, match="center must be"):
+            dh.GridDomain.ball(1.0, 0.25, center=center)
+
 
 class TestGeometry:
     DOMAINS = [dh.GridDomain.box([-1.0], [0.5], 0.25),
@@ -88,6 +109,26 @@ class TestGeometry:
 
 
 class TestDiscreteHessian:
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.box([-1.0, 0.0], [1.0, 0.75], 1 / 8),
+        dh.GridDomain.box([0.0] * 3, [1.0, 0.75, 1.25], 1 / 4),
+        dh.GridDomain.box([-1.0] * 4, [1.0, 0.5, 1.0, 1.5], 1 / 2),
+    ], ids=["box2", "box3", "box4"])
+    def test_equals_the_node_pencil_bit_for_bit(self, dom, rng):
+        # both read the stencil through one offset table: on a box (no
+        # ghosts) the pencil's Hessian at every interior row is the
+        # central second difference, bit for bit
+        st = dh._build_stencil(dom, lambda p: np.zeros(len(p)))
+        flat = rng.normal(size=dom.interior.size) * 10.0 ** rng.integers(
+            -3, 3, size=dom.interior.size)
+        rows = np.arange(st.flat_interior.size)
+        pencil, d = dh._node_pencil(st, flat, rows)
+        assert (d == 2.0).all()
+        u = dh.GridField(dom, flat.reshape(dom.shape))
+        for row in rows:
+            idx = np.unravel_index(st.flat_interior[row], dom.shape)
+            assert dh.discrete_hessian(u, idx).tobytes() == pencil[row].tobytes()
+
     def test_quadratic_exact(self, rng):
         dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.25)
         for _ in range(10):
@@ -322,18 +363,16 @@ class TestNodeUpdate:
         flat = rng.normal(size=dom.interior.size)
         rows = np.arange(st.flat_interior.size)
         h0, d = dh._node_pencil(st, flat, rows)
-        assert (d[~st.ghost_plus & ~st.ghost_minus] == 2.0).all()
+        assert (d[~st.ghost[:, :dom.n] & ~st.ghost[:, dom.n:]] == 2.0).all()
         assert (d > 2.0).any()
         shifts = rng.normal(size=rows.size)
         for row, s in zip(rows, shifts):
             moved = flat.copy()
             t = flat[st.flat_interior[row]] + s
             moved[st.flat_interior[row]] = t
-            for nbs, ghost, theta, phi in (
-                    (st.axis_plus, st.ghost_plus, st.theta_plus, st.phi_plus),
-                    (st.axis_minus, st.ghost_minus, st.theta_minus, st.phi_minus)):
-                for axis in np.flatnonzero(ghost[row]):
-                    moved[nbs[row, axis]] = t + (phi[row, axis] - t) / theta[row, axis]
+            for side in np.flatnonzero(st.ghost[row]):
+                moved[st.nbs[row, 1 + side]] = (
+                    t + (st.phi[row, side] - t) / st.theta[row, side])
             idx = np.unravel_index(st.flat_interior[row], dom.shape)
             h1 = dh.discrete_hessian(dh.GridField(dom, moved.reshape(dom.shape)), idx)
             expect = h0[row] - s * np.diag(d[row]) / dom.h ** 2
@@ -534,12 +573,11 @@ def dense_jacobi_radius(dom, weights):
     jac = np.zeros((m, m))
     diag = np.zeros(m)
     for axis, w in enumerate(weights):
-        for nbs, thetas in ((st.axis_plus, st.theta_plus),
-                            (st.axis_minus, st.theta_minus)):
-            col = pos[nbs[:, axis]]
+        for side in (axis, dom.n + axis):
+            col = pos[st.nbs[:, 1 + side]]
             inner = np.flatnonzero(col >= 0)
             jac[inner, col[inner]] += w
-            diag += w / thetas[:, axis]
+            diag += w / st.theta[:, side]
     return float(np.abs(np.linalg.eigvals(jac / diag[:, None])).max())
 
 
@@ -1076,6 +1114,22 @@ class TestGridIO:
         assert np.array_equal(back.domain.interior, ref.domain.interior)
         assert np.array_equal(back.values, ref.values)
         assert np.array_equal(np.signbit(back.values), np.signbit(ref.values))
+
+    @pytest.mark.parametrize("dom", [
+        dh.GridDomain.ball(1.0, 1 / 16, center=[0.1, -0.3]),
+        dh.GridDomain.ball(0.7, 0.1, center=[0.3, -0.2, 0.1], dim=3),
+    ], ids=["disk", "ball3"])
+    def test_csv_roundtrip_off_center_ball(self, tmp_path, rng, dom):
+        # the stored center is the one the file's origin rebuilds, so the
+        # reader's lattice, masks and center equal the writer's bit for bit
+        u = dh.GridField(dom, rng.normal(size=dom.shape))
+        path = tmp_path / "grid.csv"
+        dh.write_grid_csv(path, u)
+        back, _ = dh.read_grid_csv(path)
+        for name in ("origin", "center", "interior", "boundary"):
+            assert getattr(back.domain, name).tobytes() == getattr(dom, name).tobytes()
+        mask = dom.interior | dom.boundary
+        assert np.array_equal(back.values[mask], u.values[mask])
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_csv_edited_coordinate_raises(self, tmp_path, column):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import conedge
 
-MAX_SETTABLE_VALUES = 82
+MAX_SETTABLE_VALUES = 79
 
 
 def settable_values() -> int:
