@@ -8,18 +8,19 @@ Three kinds of handle:
     {Z >= 0, tr Z = 1, Z perpendicular to E}; translate_sdp solves it by
     batched primal-dual path following, with a certified lower value and
     a feasible dual Z.  A closed form, when the catalog has one for E, is
-    a batch kernel over a stack of matrices; a single margin is the batch
-    of one.  The basic-edge dichotomy maximizes lambda_min over a trace
-    slice by smoothed L-BFGS ascent.
+    a batch kernel over a stack of matrices.  The basic-edge dichotomy
+    maximizes lambda_min over a trace slice by smoothed L-BFGS ascent.
   * HalfspaceCone(N): {A : <A, N> >= 0} for a unit PSD normal.
   * GeometricCone(family): {A : tr(A|_W) >= 0 for all planes W}, probed by
     pre-sampled frames plus local frame descent.
 
-All margins agree in sign with exact membership and shift exactly by -s
-(or -s tr N for half-spaces) under A -> A - s Id, which downstream solvers
-rely on.  margin, margin_batch, contains and dual_contains check their
-input as sym_matrix does (square, finite, symmetric; per matrix for a
-stack) and against the cone's size.
+Each handle has one margin kernel, _margins_and_witnesses, on a checked
+(m, n, n) stack; margin, margin_batch, contains and dual_contains all read
+it, a single matrix as the batch of one.  All margins agree in sign with
+exact membership and shift exactly by -s (or -s tr N for half-spaces)
+under A -> A - s Id, which downstream solvers rely on.  Those four check
+their input as sym_matrix does (square, finite, symmetric; per matrix for
+a stack) and against the cone's size.
 Handles are immutable; caches are write-once.
 """
 
@@ -95,16 +96,6 @@ class Membership:
         return self.verdict is not Verdict.OUTSIDE
 
 
-def _classify(margin: float, tol: float, witness=None, stalled=False) -> Membership:
-    if margin > tol:
-        v = Verdict.INTERIOR
-    elif margin < -tol:
-        v = Verdict.OUTSIDE
-    else:
-        v = Verdict.BOUNDARY
-    return Membership(v, float(margin), float(tol), witness, stalled)
-
-
 # ----------------------------------------------------------------------
 # primal-dual translate kernel
 # ----------------------------------------------------------------------
@@ -153,6 +144,7 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
     the columns of Z dS S^-1 that S^-1 blows up) is finally removed by a
     one-sided correction sym(Z H), H in span F, which leaves the near-null
     block of Z alone; a correction that would leave the PSD cone is skipped.
+    Products with F go one matrix at a time, so no result depends on the stack.
 
     Returns (lower, coords, z, gap): lower = lambda_min(A - sum_k c_k E_k)
     at the final coords c, a certified lower bound of the maximum; z the
@@ -174,7 +166,7 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
     z = np.repeat(np.eye(n)[None] / n, m, axis=0)
 
     def slack(idx):
-        return a_stack[idx] - (y[idx] @ f_flat).reshape(-1, n, n)
+        return a_stack[idx] - (y[idx][:, None] @ f_flat).reshape(-1, n, n)
 
     active = np.arange(m)
     with np.errstate(all="ignore"):  # non-finite directions are caught below
@@ -201,17 +193,17 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
                   & (np.diagonal(r, axis1=1, axis2=2) != 0).all(axis=1))
             r[~ok] = np.eye(k + 1)
             r_t = np.swapaxes(r, -1, -2)
-            resid = b - za.reshape(-1, n * n) @ f_flat.T
+            resid = b - (za.reshape(-1, 1, n * n) @ f_flat.T)[:, 0]
 
             def direction(g):
                 """dy and the stack (dZ, dS) of the Newton direction with
                 dZ = sym(g - Z dS S^-1) and <F_i, Z + dZ> = b_i, where
                 Z dS S^-1 = Lz (Lz^T dS Ls) Ls^T and Lz^T dS Ls = -sum dy_i B_i."""
-                rhs = resid - g.reshape(-1, n * n) @ f_flat.T
+                rhs = resid - (g.reshape(-1, 1, n * n) @ f_flat.T)[:, 0]
                 dy = np.linalg.solve(r, np.linalg.solve(r_t, rhs[..., None]))[..., 0]
                 lz_ds_ls = -np.einsum("mk,mkp->mp", dy, rows).reshape(-1, n, n)
                 dz = _sym(g - lz @ lz_ds_ls @ ls_t)
-                return dy, np.concatenate([dz, -(dy @ f_flat).reshape(-1, n, n)])
+                return dy, np.concatenate([dz, -(dy[:, None] @ f_flat).reshape(-1, n, n)])
 
             def steps(d):
                 """Step lengths of Z and S along d = (dZ, dS); zero where
@@ -240,26 +232,14 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
 
     zf = z[:, None] @ f[None]                                       # Z F_j
     gram = np.einsum("kab,mjba->mkj", f, zf)
-    resid = b - z.reshape(m, n * n) @ f_flat.T
+    resid = b - (z.reshape(m, 1, n * n) @ f_flat.T)[:, 0]
     h = (np.linalg.pinv(gram, rcond=1e-12) @ resid[..., None])[..., 0]
     fixed = z + _sym(np.einsum("mj,mjab->mab", h, zf))
     psd = np.linalg.eigvalsh(fixed)[:, 0] > 0
     z[psd] = fixed[psd]
     coords = y[:, 1:]
-    lower = np.linalg.eigvalsh(a_stack - (coords @ f_flat[1:]).reshape(m, n, n))[:, 0]
+    lower = np.linalg.eigvalsh(a_stack - (coords[:, None] @ f_flat[1:]).reshape(m, n, n))[:, 0]
     return lower, coords, z, np.einsum("mij,mji->m", z, slack(np.arange(m)))
-
-
-def edge_translate_margin(a: np.ndarray, edge: SymSubspace):
-    """Maximize lambda_min(a - e) over e in the edge subspace: translate_sdp
-    on the stack of one.
-
-    Returns (margin, translate, coords, stalled); stalled when the duality
-    gap stayed above default_tol(a).
-    """
-    lower, coords, _, gap = translate_sdp(a[None], edge.basis)
-    return (float(lower[0]), from_coords(edge, coords[0]), coords[0],
-            bool(gap[0] > default_tol(a)))
 
 
 # ----------------------------------------------------------------------
@@ -448,21 +428,17 @@ class ConeHandle:
     linear_margin_weight: np.ndarray | None = None
 
     # --- margins -------------------------------------------------------
-    def margin(self, a: np.ndarray) -> float:
-        return self._margin_with_witness(self._checked(a, "margin"))[0]
-
-    def _margin_with_witness(self, a):
-        """(margin, witness or None, stalled) for one matrix."""
+    def _margins_and_witnesses(self, a_stack: np.ndarray):
+        """(margins, witnesses or None, stalled or None) of a checked
+        (m, n, n) stack: the one margin kernel every reader goes through."""
         raise NotImplementedError
+
+    def margin(self, a: np.ndarray) -> float:
+        return float(self._margins_and_witnesses(self._checked(a, "margin")[None])[0][0])
 
     def margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
         """Margins of an (m, n, n) stack, each matrix checked as in `margin`."""
-        return self._margin_batch(self._checked(a_stack, "margin_batch", stack=True))
-
-    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        """Margins of a checked stack; unless a handle has a batch kernel,
-        each matrix's single margin."""
-        return np.array([self._margin_with_witness(a)[0] for a in a_stack])
+        return self._margins_and_witnesses(self._checked(a_stack, "margin_batch", stack=True))[0]
 
     @property
     def id_shift_slope(self) -> float:
@@ -484,20 +460,26 @@ class ConeHandle:
         return a
 
     def contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
-        a = self._checked(a, "contains")
-        if tol is None:
-            tol = default_tol(a)
-        m, witness, stalled = self._margin_with_witness(a)
-        return _classify(m, tol, witness, stalled)
+        return self._membership(a, tol, 1.0)
 
     def dual_contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
         """Membership in the dual cone: A is dual-inside iff -A is not
         interior; the dual margin is minus the margin of -A."""
-        a = self._checked(a, "dual_contains")
+        return self._membership(a, tol, -1.0)
+
+    def _membership(self, a, tol, sign: float) -> Membership:
+        """Verdict on sign * margin(sign * a) at tol (default_tol(a) if None);
+        the witness and stall flag are those of sign * a."""
+        a = self._checked(a, "contains" if sign > 0 else "dual_contains")
         if tol is None:
             tol = default_tol(a)
-        m, witness, stalled = self._margin_with_witness(-a)
-        return _classify(-m, tol, witness, stalled)
+        margins, witnesses, stalled = self._margins_and_witnesses(sign * a[None])
+        m = sign * float(margins[0])
+        verdict = (Verdict.INTERIOR if m > tol else
+                   Verdict.OUTSIDE if m < -tol else Verdict.BOUNDARY)
+        return Membership(verdict, m, float(tol),
+                          None if witnesses is None else witnesses[0],
+                          stalled is not None and bool(stalled[0]))
 
     # --- linear structure ----------------------------------------------
     def edge_of(self) -> SymSubspace:
@@ -538,26 +520,29 @@ class EdgeCone(ConeHandle):
     def edge_of(self) -> SymSubspace:
         return self.edge
 
-    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
+    def _margins_and_witnesses(self, a_stack: np.ndarray):
+        """The closed form's margins when there is one; otherwise
+        translate_sdp's certified lower values, the translates attaining
+        them, and stalled where the duality gap stayed above default_tol."""
         if self._fast_margin is not None:
-            return self._fast_margin(a_stack)
-        return translate_sdp(a_stack, self.edge.basis)[0]
+            return self._fast_margin(a_stack), None, None
+        lower, coords, _, gap = translate_sdp(a_stack, self.edge.basis)
+        translates = np.einsum("mk,kij->mij", coords, self.edge.basis)
+        return lower, translates, gap > np.array([default_tol(a) for a in a_stack])
 
     def optimizer_margin(self, a: np.ndarray, warm_coords=None, quick: bool = False):
         """Margin by the primal-dual translate kernel regardless of any fast
-        form: edge_translate_margin's (margin, translate, coords, stalled).
+        form: translate_sdp on the stack of one, as (margin, translate,
+        coords, stalled); stalled when the duality gap stayed above
+        default_tol(a).
 
         warm_coords and quick have no effect: the kernel always starts from
         the same strictly feasible point and stops on the same gap.  They stay
         because callers pass them (the benchmark's warm probe, criterion #08).
         """
-        return edge_translate_margin(a, self.edge)
-
-    def _margin_with_witness(self, a):
-        if self._fast_margin is not None:  # a single margin is the batch of one
-            return float(self._fast_margin(a[None])[0]), None, False
-        m, e, _, stalled = edge_translate_margin(a, self.edge)
-        return m, e, stalled
+        lower, coords, _, gap = translate_sdp(a[None], self.edge.basis)
+        return (float(lower[0]), from_coords(self.edge, coords[0]), coords[0],
+                bool(gap[0] > default_tol(a)))
 
 
 class HalfspaceCone(ConeHandle):
@@ -578,8 +563,9 @@ class HalfspaceCone(ConeHandle):
         self._edge = None
         self._span = None
 
-    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        return np.einsum("mij,ji->m", a_stack, self.normal)
+    def _margins_and_witnesses(self, a_stack: np.ndarray):
+        return (np.einsum("mij,ji->m", a_stack, self.normal),
+                np.broadcast_to(self.normal, a_stack.shape), None)
 
     @property
     def id_shift_slope(self) -> float:
@@ -590,9 +576,6 @@ class HalfspaceCone(ConeHandle):
             span = orthonormalize([self.normal], ambient_n=self.n)
             self._edge = complement(span)
         return self._edge
-
-    def _margin_with_witness(self, a):
-        return float(np.einsum("ij,ji->", a, self.normal)), self.normal, False
 
 
 class GeometricCone(ConeHandle):
@@ -605,8 +588,8 @@ class GeometricCone(ConeHandle):
     `descents` of them).  margin_batch runs those descents for the whole
     stack in passes of (matrix, start frame) pairs; every pair takes its
     own Armijo steps, and one stacked exponential per step serves them all.
-    A single margin (and its witness frame) is the batch of one.  budget,
-    descents and descent_steps must be positive integers, seed an integer.
+    budget, descents and descent_steps must be positive integers, seed an
+    integer.
     """
 
     def __init__(self, family: st.PlaneFamily, *, budget: int = 2000,
@@ -638,17 +621,15 @@ class GeometricCone(ConeHandle):
         return self._projectors
 
     # margins -------------------------------------------------------------
-    def _margin_with_witness(self, a: np.ndarray):
-        vals, frames = self._margins_and_witnesses(a[None])
-        return float(vals[0]), frames[0], False
+    def _margins_and_witnesses(self, a_stack: np.ndarray):
+        """Margins and witness frames of a checked (m, n, n) stack, descended
+        in slices of at most GEOMETRIC_STACK matrices to bound memory."""
+        vals, frames = zip(*[self._descended(a_stack[i:i + GEOMETRIC_STACK])
+                             for i in range(0, max(len(a_stack), 1), GEOMETRIC_STACK)])
+        return np.concatenate(vals), np.concatenate(frames), None
 
-    def _margin_batch(self, a_stack: np.ndarray) -> np.ndarray:
-        parts = [self._margins_and_witnesses(a_stack[i:i + GEOMETRIC_STACK])[0]
-                 for i in range(0, len(a_stack), GEOMETRIC_STACK)]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def _margins_and_witnesses(self, a: np.ndarray):
-        """Margins and witness frames of a checked (m, n, n) stack.
+    def _descended(self, a: np.ndarray):
+        """Margins and witness frames of at most GEOMETRIC_STACK matrices.
 
         A matrix stops after 5 descents in a row without a gain, so one
         whose last g descents gained nothing runs at least its next 5 - g.
@@ -660,7 +641,7 @@ class GeometricCone(ConeHandle):
         frames = self.frames()
         flat = self.projectors().reshape(self.budget, -1)
         # one matrix-vector product per matrix, so a row does not depend on the stack
-        vals = (flat @ a.reshape(m, -1, 1))[:, :, 0] / k
+        vals = (flat @ a.reshape(m, self.n * self.n, 1))[:, :, 0] / k
         order = np.argsort(vals, axis=1)[:, :self.descents]
         best_val = vals[np.arange(m), order[:, 0]]
         best_frame = frames[order[:, 0]]

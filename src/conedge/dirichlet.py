@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ConeHandle
+from .cones import ConeHandle, _positive_int
 from .symspace import SymSubspace, as_rng
 
 THETA_FLOOR = 0.05
@@ -153,8 +153,12 @@ class GridDomain:
         return GridDomain(n, shape, float(h), lo, "box", interior, boundary)
 
     @staticmethod
-    def ball(radius: float, h: float, center=None, dim: int = 2) -> "GridDomain":
-        center = _check_point("center", np.zeros(dim) if center is None else center)
+    def ball(radius: float, h: float, center=None, dim: int | None = None) -> "GridDomain":
+        if dim is not None and _positive_int("dim", dim) > 4:
+            raise ValueError(f"dim must be 1..4 (the grid dimension), got {dim}")
+        center = _check_point("center", np.zeros(dim or 2) if center is None else center)
+        if dim not in (None, center.size):
+            raise ValueError(f"dim is {dim}, but center has {center.size} coordinates")
         n = center.size
         _check_positive("radius", radius)
         _check_positive("h", h)
@@ -574,8 +578,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     slope = cone.id_shift_slope
     # the solver's Hessian stacks are symmetric and finite by construction,
     # so they skip margin_batch's input check unless a cone overrides it
-    margins = (cone._margin_batch if type(cone).margin_batch is ConeHandle.margin_batch
-               else cone.margin_batch)
+    margins = (cone.margin_batch if type(cone).margin_batch is not ConeHandle.margin_batch
+               else lambda stack: cone._margins_and_witnesses(stack)[0])
     eye = np.eye(dom.n)
     tol_s = 0.1 * tol * h2        # bisection resolution of the center shift
     history = []

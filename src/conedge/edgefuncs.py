@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import EdgeCone, edge_translate_margin
+from .cones import EdgeCone
 from .dirichlet import GridField, central_differences
 from .symspace import SymSubspace, as_rng, frob_norm, from_coords, subspace_project
 
@@ -139,7 +139,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index) -> ViolationWitness |
     idx = tuple(int(i) for i in np.atleast_1d(index))
     grad, a = central_differences(u, idx)
     tol = 1e-7 * (1.0 + frob_norm(a))
-    margin, e_translate, _, stalled = edge_translate_margin(-a, cone.edge)
+    margin, e_translate, _, stalled = cone.optimizer_margin(-a)
     if margin <= tol:
         return None  # -A is not interior: the node passes the dual test
     if stalled:

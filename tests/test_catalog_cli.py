@@ -482,6 +482,12 @@ class TestCli:
         assert run_cli(["solve", "--cone", "laplace", flag, value, "--dry-run"]) == 2
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
+    def test_ball_dimension_out_of_range_is_a_usage_error(self, capsys):
+        # the ball names dim, not the center built from it
+        args = ["solve", "--cone", "laplace", "--domain", "disk", "--n", "5", "--dry-run"]
+        assert run_cli(args) == 2
+        assert "error: dim must be 1..4" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve"])  # missing required --cone

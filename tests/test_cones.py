@@ -247,6 +247,72 @@ class TestBatchOfOne:
         assert signs.shape == tols.shape == (0,)
 
 
+class TestOneMarginKernel:
+    """margin, margin_batch, contains and dual_contains all read the
+    handle's one kernel, _margins_and_witnesses, so on every kind of handle
+    they agree bit for bit, witnesses and stall flags included."""
+
+    CONES = {
+        "closed_form": lambda: cat.build_cone("P_C", 4),
+        "translate_kernel": lambda: cat.build_cone("P_EI", 8),
+        "halfspace": lambda: cn.HalfspaceCone(np.diag([1.0, 0.5, 0.0, 2.0])),
+        "geometric": lambda: cn.GeometricCone(st.PlaneFamily("lag", 4), budget=100,
+                                              descents=6),
+    }
+
+    @staticmethod
+    def stack(cone, rng):
+        n = cone.n
+        return np.array([ss.random_symmetric(n, rng) + rng.uniform(-2.0, 2.0) * np.eye(n)
+                         for _ in range(4)])
+
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_every_reader_is_the_kernel(self, name, rng):
+        cone = self.CONES[name]()
+        stack = self.stack(cone, rng)
+        margins, witnesses, stalled = cone._margins_and_witnesses(stack)
+        assert (witnesses is None) == (name == "closed_form")
+        assert (stalled is None) == (name != "translate_kernel")
+        assert np.array_equal(cone.margin_batch(stack), margins)
+        for i, a in enumerate(stack):
+            inside, dual = cone.contains(a), cone.dual_contains(a)
+            assert cone.margin(a) == margins[i] == inside.margin
+            assert dual.margin == -cone.margin(-a)
+            if witnesses is None:
+                assert inside.witness is None
+            else:
+                assert np.array_equal(inside.witness, witnesses[i])
+            if stalled is None:
+                assert not inside.stalled and not dual.stalled
+            else:
+                assert inside.stalled == stalled[i] == cone.optimizer_margin(a)[3]
+                assert dual.stalled == cone.optimizer_margin(-a)[3]
+                # the translate attains the certified lower value
+                lam = np.linalg.eigvalsh(a - witnesses[i])[0]
+                assert abs(lam - margins[i]) <= 1e-12 * (1.0 + np.linalg.norm(a))
+
+    def test_stall_flags_follow_the_gap(self, monkeypatch, rng):
+        # cut short after 5 to 9 iterations, the kernel leaves some gaps
+        # open and closes others; every reader flags exactly the open ones
+        cone = self.CONES["translate_kernel"]()
+        stack = self.stack(cone, rng)
+        tols = np.array([cn.default_tol(a) for a in stack])
+        seen = set()
+        for iters in range(5, 10):
+            monkeypatch.setattr(cn, "SDP_MAX_ITER", iters)
+            for sign in (1.0, -1.0):
+                gap = cn.translate_sdp(sign * stack, cone.edge.basis)[3]
+                margins, _, stalled = cone._margins_and_witnesses(sign * stack)
+                assert np.array_equal(stalled, gap > tols)
+                for a, m, flag in zip(stack, margins, stalled):
+                    read = cone.contains(a) if sign > 0 else cone.dual_contains(a)
+                    m_opt, _, _, opt_flag = cone.optimizer_margin(sign * a)
+                    assert read.stalled == flag == opt_flag
+                    assert read.margin == sign * m and m_opt == m
+                seen.update(stalled.tolist())
+        assert seen == {True, False}
+
+
 def single_algebra_projector(family):
     """The Lie algebra projector of a plane family on one skew matrix."""
     _, mats, _ = st.family_spec(family)
@@ -340,7 +406,7 @@ class TestGeometricStack:
             return descend(proj, k, frames, a, steps)
 
         monkeypatch.setattr(cn, "_descend_frames", counted)
-        margins, witnesses = cone._margins_and_witnesses(stack)
+        margins, witnesses, _ = cone._margins_and_witnesses(stack)
         monkeypatch.undo()
         scale = 1.0 + np.linalg.norm(stack, axis=(1, 2))
         runs = 0
@@ -417,7 +483,7 @@ class TestOptimizerAgainstClosedForms:
         cone = cat.build_cone(name, n)
         for _ in range(15):
             a = ss.random_symmetric(n, rng)
-            m_opt, _, _, _ = cn.edge_translate_margin(a, cone.edge)
+            m_opt, _, _, _ = cone.optimizer_margin(a)
             assert m_opt == pytest.approx(cone.margin(a), abs=1e-8)
 
 

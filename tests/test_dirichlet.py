@@ -80,6 +80,19 @@ class TestGridDomain:
         with pytest.raises(ValueError, match="center must be"):
             dh.GridDomain.ball(1.0, 0.25, center=center)
 
+    @pytest.mark.parametrize("center, dim", [([0.0, 0.0], 3), ([0.0] * 3, 2), (None, 5),
+                                             (None, 0), (None, 2.0), (None, True)])
+    def test_ball_dim_must_match_center(self, center, dim):
+        # an explicit dim is checked, not overridden by the center's length
+        with pytest.raises(ValueError, match="^dim "):
+            dh.GridDomain.ball(1.0, 0.25, center=center, dim=dim)
+
+    @pytest.mark.parametrize("center, dim, n", [([0.1, -0.2, 0.3], None, 3),
+                                                ([0.0] * 4, None, 4), ([0.1, -0.2, 0.3], 3, 3),
+                                                (None, np.int64(3), 3), (None, None, 2)])
+    def test_ball_dim_follows_center(self, center, dim, n):
+        assert dh.GridDomain.ball(1.0, 0.5, center=center, dim=dim).n == n
+
 
 class TestGeometry:
     DOMAINS = [dh.GridDomain.box([-1.0], [0.5], 0.25),

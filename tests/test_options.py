@@ -10,7 +10,7 @@ from pathlib import Path
 
 import conedge
 
-MAX_SETTABLE_VALUES = 79
+MAX_SETTABLE_VALUES = 77
 
 
 def settable_values() -> int:
