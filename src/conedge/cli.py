@@ -72,6 +72,8 @@ def read_matrix_file(path) -> np.ndarray:
     if len(vals) != n * n:
         raise ValueError(f"expected {n*n} entries, found {len(vals)}")
     a = np.array(vals).reshape(n, n)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{path}: matrix entries must be finite")
     skew = np.abs(a - a.T).max()
     if skew > 1e-8 * (1.0 + np.abs(a).max()):
         print(f"warning: symmetrizing input with asymmetry {skew:.3e}",

@@ -540,6 +540,7 @@ class EdgeCone(ConeHandle):
         the same strictly feasible point and stops on the same gap.  They stay
         because callers pass them (the benchmark's warm probe, criterion #08).
         """
+        a = self._checked(a, "optimizer_margin")
         lower, coords, _, gap = translate_sdp(a[None], self.edge.basis)
         return (float(lower[0]), from_coords(self.edge, coords[0]), coords[0],
                 bool(gap[0] > default_tol(a)))

@@ -11,9 +11,9 @@ the bracket [h^2 m / (slope max d), h^2 m / (slope min d)], vectorized
 over the rows of a red-black half-sweep or of a lex front (the nodes of
 one key sum_i (n - i) x_i, which never read each other; see _lex_fronts).
 A linear margin is a fixed affine map of the lattice values, so its rows
-read their margins from one sparse operator built once per solve
-(_linear_operator) instead of from Hessian stacks; the iteration and its
-omega are the same.
+read their margins from one weight table built once per solve
+(_linear_operator), a gather of stencil values and a weighted sum,
+instead of from Hessian stacks; the iteration and its omega are the same.
 
 Margins of the form <A, W> with diagonal W make the node update plain
 Gauss-Seidel on a 2-cyclic, consistently ordered linear system (both
@@ -49,8 +49,8 @@ carry O(h) boundary error on balls.  Ghost values are a function of the
 interior values: a solve sets them before the sweeps and after the last
 one, and inside the sweeps (after each red-black half-sweep and each
 sweep) only when a node update reads a ghost from the array, which the
-pencil does at corners, and a linear operator only if its columns include
-a ghost node (an off-diagonal W at a corner ghost; never a diagonal W).
+pencil does at corners, and a linear table only if it gives a ghost node
+a nonzero weight (an off-diagonal W at a corner ghost; never a diagonal W).
 """
 
 from __future__ import annotations
@@ -412,20 +412,17 @@ def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
 
 
 def _linear_operator(stencil: _Stencil, weight: np.ndarray):
-    """Sparse (rows x lattice) operator op and constant c with
-    op @ flat + c = <H, W> at every interior row, H as _node_pencil builds
-    it: each axis ghost enters as the row's own extrapolation
-    t + (phi - t) / theta, a diagonal term plus the constant phi / theta;
-    every other neighbour and every corner is read from the array."""
-    # scipy.sparse costs 20 MB and 0.2 s to import; only linear margins need it
-    from scipy import sparse
-
+    """Table (idx, coef, c) with sum_k coef[:, k] flat[idx[:, k]] + c = <H, W>
+    at every interior row, H as _node_pencil builds it, over the stencil
+    columns of nonzero weight in increasing lattice offset (the sum order).
+    Each axis ghost enters as the row's own extrapolation t + (phi - t) /
+    theta: a center term, the constant phi / theta and weight 0 on the
+    ghost; every other neighbour and every corner is read from the array."""
     n = stencil.dom.n
     h2 = stencil.dom.h * stencil.dom.h
-    _, pairs = _stencil_offsets(n)
-    m = stencil.flat_interior.size
+    offsets, pairs = _stencil_offsets(n)
     coef = np.zeros(stencil.nbs.shape)      # the weight of each stencil value
-    const = np.zeros(m)
+    const = np.zeros(stencil.flat_interior.size)
     center = coef[:, 0]
     for i in range(n):
         w = weight[i, i] / h2
@@ -441,19 +438,22 @@ def _linear_operator(stencil: _Stencil, weight: np.ndarray):
     # the other two corners with sign -
     coef[:, 2 * n + 1:] = (np.repeat([1.0, 1.0, -1.0, -1.0], pairs[0].size)
                            * np.tile(2.0 * weight[pairs] / (4.0 * h2), 4))
-    keep = coef != 0.0
-    keep[:, 0] = True
-    op = sparse.csr_matrix((coef[keep], (np.nonzero(keep)[0], stencil.nbs[keep])),
-                           shape=(m, stencil.dom.interior.size))
-    return op, const
+    strides = np.cumprod((1, *stencil.dom.shape[:0:-1]))[::-1]
+    cols = np.argsort(offsets @ strides)
+    cols = cols[coef[:, cols].any(axis=0)]
+    return stencil.nbs[:, cols], coef[:, cols], const
 
 
 def central_differences(u: GridField, index) -> tuple[np.ndarray, np.ndarray]:
     """Central first and second differences (gradient, Hessian) at one
-    interior node; both exact on quadratics.  The stencil values, ghosts
-    included, are read from the array in one gather."""
+    interior node, n lattice integers; both exact on quadratics.  The
+    stencil values, ghosts included, are read from the array in one gather."""
     dom = u.domain
-    idx = tuple(int(i) for i in np.atleast_1d(index))
+    arr = np.atleast_1d(index)
+    if not (arr.shape == (dom.n,) and np.issubdtype(arr.dtype, np.integer)
+            and ((arr >= 0) & (arr < dom.shape)).all()):
+        raise ValueError(f"node {tuple(arr.tolist())} is not {dom.n} integers inside the lattice")
+    idx = tuple(arr.tolist())
     if not dom.interior[idx]:
         raise ValueError(f"node {idx} is not interior")
     n = dom.n
@@ -481,12 +481,12 @@ def _refresh_ghosts(stencil: _Stencil, flat_vals: np.ndarray):
 
 def _reads_ghosts(stencil: _Stencil, op) -> bool:
     """Does a node update read a ghost value from the array?  The pencil
-    reads the corners (its axis ghosts are the row's own extrapolation);
-    a linear operator op reads its columns, which hold no axis ghost and,
-    for a diagonal W, no corner."""
+    (op None) reads the corners (its axis ghosts are the row's own
+    extrapolation); a linear operator table op reads its entries of nonzero
+    weight, which hold no axis ghost and, for a diagonal W, no corner."""
     if stencil.g_unique.size == 0:
         return False
-    read = op.indices if op is not None else stencil.nbs[:, 2 * stencil.dom.n + 1:]
+    read = op[0][op[1] != 0.0] if op is not None else stencil.nbs[:, 2 * stencil.dom.n + 1:]
     return bool(np.isin(stencil.g_unique, read).any())
 
 
@@ -528,7 +528,7 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     the module docstring): in closed form for linear margins and where d
     is constant, else by bisection to tol h^2 / 10 inside the
     identity-shift bracket.  A linear margin <A, W> reads its row margins
-    from one sparse operator precomputed from the stencil, with the same
+    from one weight table precomputed from the stencil, with the same
     iteration and omega.  For a margin <A, W> with diagonal W the sweeps
     are over-relaxed with Young's optimal factor
     omega = 2 / (1 + sqrt(1 - rho^2)), where rho is the closed-form Jacobi
@@ -635,10 +635,13 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     centers = [stencil.flat_interior[rows] for rows in groups]
     op = None
     if linear:
-        # a linear margin is a fixed map of the lattice values: one sparse
-        # row block per group gives its margins, and the shift is exact
-        op, const = _linear_operator(stencil, lin_w)
-        blocks = [(op[rows], const[rows], den_lo[rows]) for rows in groups]
+        # a linear margin is a fixed map of the lattice values: each group
+        # sums one gather through its (K, rows) table in column order, and
+        # the shift is exact.  einsum drops a length-1 row axis and then sums
+        # out of order, so a one-row group carries its row twice
+        op = idx, coef, const = _linear_operator(stencil, lin_w)
+        blocks = [(idx[p].T.copy(), coef[p].T.copy(), const[rows], den_lo[rows])
+                  for rows in groups for p in [rows.repeat(2) if rows.size == 1 else rows]]
     # ghosts are a function of the interior values: refresh them within
     # the sweeps only where an update reads one, and once after the sweeps
     refresh_in_sweeps = _reads_ghosts(stencil, op)
@@ -650,8 +653,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         if rows.size == 0:
             return 0.0, 0.0
         if linear:
-            block, c, den = blocks[k]
-            m0 = block @ flat + c
+            idx_t, coef_t, c, den = blocks[k]
+            m0 = np.einsum("kr,kr->r", coef_t, flat.take(idx_t))[:rows.size] + c
             shift = h2 * m0 / den
         else:
             m0, shift = pencil_shift(rows)

@@ -136,8 +136,8 @@ def violation_witness(u: GridField, cone: EdgeCone, index) -> ViolationWitness |
     no witness when the decomposition stalls near the dual boundary.
     """
     dom = u.domain
+    grad, a = central_differences(u, index)
     idx = tuple(int(i) for i in np.atleast_1d(index))
-    grad, a = central_differences(u, idx)
     tol = 1e-7 * (1.0 + frob_norm(a))
     margin, e_translate, _, stalled = cone.optimizer_margin(-a)
     if margin <= tol:

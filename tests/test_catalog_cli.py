@@ -327,6 +327,13 @@ class TestCli:
         bad.write_text("2\n1 0 0\n")
         assert run_cli(["decompose", "--group", "on", "--matrix", str(bad)]) == 2
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, entry):
+        mat = tmp_path / "m.txt"
+        mat.write_text(f"2\n1 {entry}\n{entry} 1\n")
+        assert run_cli(["decompose", "--group", "on", "--matrix", str(mat)]) == 2
+        assert "entries must be finite" in capsys.readouterr().err
+
     def test_check_cone_pass(self, tmp_path):
         out = tmp_path / "checks.jsonl"
         code = run_cli(["check-cone", "--name", "P_C", "--n", "2",
@@ -391,6 +398,17 @@ class TestCli:
         assert code == 0
         txt = capsys.readouterr().out
         assert "witnesses found at 49 of 49" in txt
+
+    @pytest.mark.parametrize("node", ["1,2,3", "-2,-2", "99,99", "0,3"])
+    def test_witness_rejects_a_bad_node(self, tmp_path, capsys, node):
+        # a usage error (exit 2), not a traceback or a silent wrap-around
+        grid = tmp_path / "grid.csv"
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.25)
+        dh.write_grid_csv(grid, dh.GridField(dom, np.zeros(dom.shape)),
+                          {"kind": "box", "h": 0.25, "origin": "-1.0,-1.0", "shape": "9x9"})
+        assert run_cli(["witness", "--cone", "laplace", "--n", "2",
+                        "--grid", str(grid), f"--node={node}"]) == 2
+        assert capsys.readouterr().err.startswith("error: node (")
 
     def test_envelope_cli(self, tmp_path):
         out = tmp_path / "env.jsonl"
@@ -506,8 +524,8 @@ class TestCli:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.sparse (linear solves) and scipy.optimize (envelope LPs) are
-    # imported where they run, not with the package
+    # the package runs on numpy alone: neither scipy.sparse nor
+    # scipy.optimize is imported with it
     code = ("import sys, conedge.cli; "
             "print([m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -532,6 +550,23 @@ def test_provenance_states_the_envelope_lp_tolerance(tmp_path, monkeypatch):
     monkeypatch.setattr(dh, "ENVELOPE_LP_RTOL", -1e-12)
     with pytest.raises(RuntimeError, match="certificate breaks a y <= phi"):
         dh._envelope_lp(*lp)
+
+
+def test_linear_solves_run_without_scipy():
+    # linear margins sum their stencil weight table with numpy; no scipy
+    # module is loaded by Laplace or off-diagonal half-space solves
+    code = ("import sys, numpy as np; from conedge import catalog, cones, dirichlet; "
+            "dom = dirichlet.GridDomain.ball(1.0, 1 / 8); "
+            "phi = lambda p: np.cos(2 * p[:, 0]) + 0.5 * p[:, 1] ** 2; "
+            "half = cones.HalfspaceCone(np.array([[1.0, 0.6], [0.6, 1.0]])); "
+            "infos = [dirichlet.perron_solve(cone, dom, phi, ordering=o)[1] "
+            "for cone in (catalog.build_cone('laplace', 2), half) for o in ('lex', 'redblack')]; "
+            "print(all(i.converged for i in infos), "
+            "[m for m in sys.modules if m.startswith('scipy')])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["True", "[]"]
 
 
 def test_envelope_runs_without_scipy_optimize():

@@ -174,6 +174,32 @@ class TestOptimizerInputChecks:
             getattr(cone, op)(a)
 
 
+class TestOptimizerMarginInputChecks:
+    """optimizer_margin checks its matrix as margin does, on a cone with a
+    closed form (which optimizer_margin bypasses) and on one without."""
+
+    @pytest.fixture(params=[("P_C", 4), ("P_EI", 8)], ids=["P_C4", "P_EI8"])
+    def cone(self, request):
+        return cat.build_cone(*request.param)
+
+    def test_nan_entry(self, cone):
+        a = np.eye(cone.n)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^optimizer_margin: matrix a rejected: .*finite"):
+            cone.optimizer_margin(a)
+
+    def test_asymmetric(self, cone):
+        a = np.eye(cone.n)
+        a[0, 1] = 0.5
+        with pytest.raises(ValueError,
+                           match=r"^optimizer_margin: matrix a rejected: .*not symmetric"):
+            cone.optimizer_margin(a)
+
+    def test_wrong_size(self, cone):
+        with pytest.raises(ValueError, match=r"^optimizer_margin: matrix a is 3x3, cone ambient"):
+            cone.optimizer_margin(np.eye(3))
+
+
 class TestMarginBatchInputChecks:
     """margin_batch checks every matrix of its stack as margin does."""
 

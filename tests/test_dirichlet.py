@@ -182,6 +182,19 @@ class TestDiscreteHessian:
         with pytest.raises(ValueError):
             dh.central_differences(u, (0, 3, 3))
 
+    @pytest.mark.parametrize("index", [(-2, -2), (1.7, 2), (1, 2, 3), (99, 99), (9, 2), (4,)],
+                             ids=["negative", "fractional", "too-long", "far-outside",
+                                  "edge-plus-one", "too-short"])
+    def test_central_differences_reject_a_bad_node_index(self, index):
+        # only n integers inside the lattice name a node: no wrap-around,
+        # no truncation and no IndexError
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.25)
+        u = dh.GridField(dom, np.zeros(dom.shape))
+        for read in (dh.central_differences, dh.discrete_hessian):
+            with pytest.raises(ValueError, match=r"^node \(.*\) is not 2 integers inside"):
+                read(u, index)
+        assert dh.discrete_hessian(u, np.array([1, 2])).shape == (2, 2)
+
     @staticmethod
     def loop_central_differences(u, idx):
         """One scalar read per stencil value: the reference for the gather."""
@@ -464,21 +477,53 @@ class TestLinearOperator:
             "trace2-disk", "halfspace-box", "halfspace-disk"])
     def test_operator_equals_pencil_margins(self, name, dom, ordering, rng):
         # on random lattice values (ghosts and corners included) each row
-        # block of op @ flat + c is the margin of the pencil's Hessians;
-        # the half-space's off-diagonal W reads the lagged corner ghosts
+        # group's weighted sum of its gathered table entries plus c is the
+        # margin of the pencil's Hessians; the half-space's off-diagonal W
+        # reads the lagged corner ghosts
         cone = linear_cone(name, dom.n)
         st = dh._build_stencil(dom, lambda p: np.cos(2 * p[:, 0]) + p[:, -1])
-        op, const = dh._linear_operator(st, cone.linear_margin_weight)
+        idx, coef, const = dh._linear_operator(st, cone.linear_margin_weight)
         flat = rng.normal(size=dom.interior.size)
         groups = dh._row_groups(st, ordering)
         assert np.array_equal(np.sort(np.concatenate(groups)),
                               np.arange(st.flat_interior.size))
+        # every row sums its terms in lattice order
+        assert (np.diff(idx, axis=1) > 0).all()
         for rows in groups:
             hess, _ = dh._node_pencil(st, flat, rows)
             expect = cone.margin_batch(hess)
-            got = op[rows] @ flat + const[rows]
+            got = (coef[rows] * flat[idx[rows]]).sum(axis=1) + const[rows]
             scale = 1.0 + np.abs(hess).reshape(rows.size, -1).max(axis=1)
             assert (np.abs(got - expect) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("ordering", ["lex", "redblack"])
+    def test_rows_sum_their_terms_in_lattice_order(self, ordering):
+        # three over-relaxed sweeps by hand, each row's table terms summed
+        # left to right from 0, give the solver's iterates bit for bit; the
+        # 4-d table has 9 columns, and lex has one-row fronts at two corners
+        cone = cat.build_cone("laplace", 4)
+        dom = dh.GridDomain.box([-1.0] * 4, [1.0] * 4, 1 / 4)
+        phi = lambda p: np.sin(7.0 * p @ [1.0, 2.0, 3.0, 4.0]) + p[:, 0] ** 3
+        u, info = dh.perron_solve(cone, dom, phi, ordering=ordering, tol=1e-300,
+                                  max_sweeps=3)
+        st = dh._build_stencil(dom, phi)
+        idx, coef, const = dh._linear_operator(st, cone.linear_margin_weight)
+        den = st.pencil_d @ np.diag(cone.linear_margin_weight)
+        b_vals = dh.boundary_values(dom, phi)
+        vals = np.full(dom.shape, b_vals.max())
+        vals[dom.boundary] = b_vals
+        flat = vals.ravel()
+        groups = dh._row_groups(st, ordering)
+        assert min(map(len, groups)) == (1 if ordering == "lex" else 1200)
+        for _ in range(3):
+            for rows in groups:
+                m0 = np.zeros(rows.size)
+                for k in range(idx.shape[1]):
+                    m0 += coef[rows, k] * flat[idx[rows, k]]
+                f_idx = st.flat_interior[rows]
+                flat[f_idx] = flat[f_idx] + info.omega * (dom.h * dom.h * (m0 + const[rows])
+                                                          / den[rows])
+        assert info.sweeps == 3 and np.array_equal(u.values, vals)
 
     @pytest.mark.parametrize("ordering", ["lex", "redblack"])
     def test_linear_route_builds_no_hessians(self, ordering, monkeypatch):
@@ -546,9 +591,9 @@ class TestLexFronts:
 
     # sha256 of u.values and the sweep count, computed with the node-by-node
     # lex sweep: the fronts must reproduce it bit for bit wherever the
-    # margin is a closed form.  The linear laplace case pins the sparse
-    # operator's sum order instead; its field lies within 2.1e-15 of the
-    # node-by-node one, in the same 128 sweeps
+    # margin is a closed form.  The linear laplace case pins the sum order
+    # of its weight table instead, each row's terms in lattice order; its
+    # field lies within 2.1e-15 of the node-by-node one, in the same 128 sweeps
     @pytest.mark.parametrize("name, n, dom, phi, kwargs, digest, sweeps", [
         ("P_EI", 4, dh.GridDomain.box(**BOX4), smooth4, {},
          "9c7cf994aefd82d3109dad4b44c6623c9c563126e19cb472f1e040e440c583c6", 43),
