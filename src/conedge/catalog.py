@@ -126,10 +126,11 @@ def _lagrangian(label):
     def factory(n):
         i_mat = st.structure(n, label)
         k = n // 2
+        eye = np.eye(n)
 
         def kernel(a):
             tr = np.trace(a, axis1=-2, axis2=-1) / n
-            span = st.complex_skew_part(a, i_mat) + tr[:, None, None] * np.eye(n)
+            span = st.complex_skew_part(a, i_mat) + tr[:, None, None] * eye
             return np.linalg.eigvalsh(span)[:, :k].sum(axis=1) / k
 
         return kernel

@@ -67,7 +67,9 @@ def read_matrix_file(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError("empty matrix file")
-    n = int(tokens[0])
+    n = int(tokens[0]) if tokens[0].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"{path}: n must be a positive integer, got {tokens[0]!r}")
     vals = [float(t) for t in tokens[1:]]
     if len(vals) != n * n:
         raise ValueError(f"expected {n*n} entries, found {len(vals)}")

@@ -108,20 +108,6 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
-def _psd_step(l_inv: np.ndarray, d: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Per matrix, the step t <= 1 along d that keeps mat = L L^T positive
-    definite: 0.95 of the way to the PSD boundary, read off the smallest
-    eigenvalue of L^-1 d L^-T, halved until eigvalsh confirms it."""
-    lam = np.linalg.eigvalsh(l_inv @ d @ np.swapaxes(l_inv, -1, -2))[:, 0]
-    step = np.minimum(1.0, 0.95 / np.maximum(-lam, 1e-300))
-    for _ in range(60):
-        bad = np.linalg.eigvalsh(mat + step[:, None, None] * d)[:, 0] <= 0
-        if not bad.any():
-            break
-        step[bad] *= 0.5
-    return step
-
-
 def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
     """Maximize lambda_min(A - sum_k c_k E_k) over c, for each A of a stack.
 
@@ -135,10 +121,14 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
     F = (Id, E), b = (1, 0, ...), rides in the Newton system otherwise.
 
     The Schur matrix M_ij = tr(F_i Z F_j S^-1) is never formed: with
-    Z = Lz Lz^T and S^-1 = Ls Ls^T from eigh, the rows B_i = vec(Lz^T F_i Ls)
-    give M = R^T R for R of the QR factorization of B^T, and each direction
-    costs two solves, with the triangular R^T and R.  Steps go 0.95 of the way to the PSD
-    boundary.  A matrix leaves the active set once its gap <Z, S> is at
+    Z = Lz Lz^T and S^-1 = Ls Ls^T from one eigh of (Z, S), the rows
+    B_i = vec(Lz^T F_i Ls) give M = R^T R for R of the QR factorization of
+    B^T, and each direction costs two products with R^-1, inverted once per
+    iteration: R^-1 (R^-T rhs), never (R^T R)^-1 rhs, which squares R's
+    condition number.  Steps go 0.95 of the way to the PSD boundary.  The
+    corrector's step is confirmed by the eigh of the next (Z, S), S = A - y F
+    from the moved y: a side with an eigenvalue <= 0 halves its step, up to
+    60 times.  A matrix leaves the active set once its gap <Z, S> is at
     most SDP_GAP_RTOL (1 + |A|); a non-finite direction freezes it at its
     current iterate.  The dual iterate's constraint residual (rounding in
     the columns of Z dS S^-1 that S^-1 blows up) is finally removed by a
@@ -159,76 +149,86 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
         return lam[:, 0], np.zeros((m, 0)), v[:, :, None] * v[:, None, :], np.zeros(m)
     f = np.concatenate([np.eye(n)[None], gens])           # F_0 = Id, F_k = E_k
     f_flat = f.reshape(k + 1, n * n)
-    b = np.eye(k + 1)[0]
+    b, eye_k = np.eye(k + 1)[0], np.eye(k + 1)
     scale = 1.0 + np.sqrt(np.einsum("mij,mij->m", a_stack, a_stack))
     y = np.zeros((m, k + 1))                                # (t, c)
     y[:, 0] = np.linalg.eigvalsh(a_stack)[:, 0] - scale
     z = np.repeat(np.eye(n)[None] / n, m, axis=0)
 
-    def slack(idx):
-        return a_stack[idx] - (y[idx][:, None] @ f_flat).reshape(-1, n, n)
+    def slack(a, y):
+        return a - (y[:, None] @ f_flat).reshape(-1, n, n)
 
-    active = np.arange(m)
+    # the active matrices' A, y, Z, S, gap, its bound and eigh of (Z, S) in (2, active, ...)
+    active, aa, ya, za, stop = np.arange(m), a_stack, y, z, SDP_GAP_RTOL * scale
+    s = slack(aa, ya)
+    gap = np.einsum("mij,mji->m", za, s)
+    w, v = (x.reshape(2, m, *x.shape[1:]) for x in np.linalg.eigh(np.concatenate([za, s])))
     with np.errstate(all="ignore"):  # non-finite directions are caught below
         for _ in range(SDP_MAX_ITER):
-            s = slack(active)
-            gap = np.einsum("mij,mji->m", z[active], s)
-            keep = gap > SDP_GAP_RTOL * scale[active]
-            active, s, gap = active[keep], s[keep], gap[keep]
             if not active.size:
                 break
-            za = z[active]
-            wz, vz = np.linalg.eigh(za)
-            ws, vs = np.linalg.eigh(s)
-            lz = vz * np.sqrt(wz)[:, None, :]
-            ls = vs / np.sqrt(ws)[:, None, :]
-            ls_t = np.swapaxes(ls, -1, -2)
-            # one stack for both step lengths: Z = Lz Lz^T, S = Ls^-T Ls^-1
-            mats = np.concatenate([za, s])
-            scal = np.concatenate([np.swapaxes(vz / np.sqrt(wz)[:, None, :], -1, -2), ls_t])
-            rows = (np.swapaxes(lz, -1, -2)[:, None] @ f @ ls[:, None]).reshape(-1, k + 1, n * n)
-            r = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r")
-            ok = (np.isfinite(rows).all(axis=(1, 2))
-                  & np.isfinite(scal).reshape(2, -1, n * n).all(axis=(0, 2))
+            na = active.size
+            lz = v[0] * np.sqrt(w[0])[:, None, :]
+            inv_t = v / np.sqrt(w)[..., None, :]                  # Lz^-T, Ls
+            ls, ls_t = inv_t[1], inv_t[1].swapaxes(-1, -2)
+            rows = (lz.swapaxes(-1, -2)[:, None] @ f @ ls[:, None]).reshape(-1, k + 1, n * n)
+            r = np.linalg.qr(rows.swapaxes(-1, -2), mode="r")
+            ok = (np.isfinite(rows).all(axis=(1, 2)) & np.isfinite(inv_t).all(axis=(0, 2, 3))
                   & (np.diagonal(r, axis1=1, axis2=2) != 0).all(axis=1))
-            r[~ok] = np.eye(k + 1)
-            r_t = np.swapaxes(r, -1, -2)
+            r[~ok] = eye_k
+            r_inv = np.linalg.inv(r)
             resid = b - (za.reshape(-1, 1, n * n) @ f_flat.T)[:, 0]
+            scal = inv_t.swapaxes(-1, -2).reshape(-1, n, n)          # Lz^-1, Ls^T
+            scal_t, both_ok = scal.swapaxes(-1, -2), np.concatenate([ok, ok])
 
             def direction(g):
                 """dy and the stack (dZ, dS) of the Newton direction with
                 dZ = sym(g - Z dS S^-1) and <F_i, Z + dZ> = b_i, where
                 Z dS S^-1 = Lz (Lz^T dS Ls) Ls^T and Lz^T dS Ls = -sum dy_i B_i."""
                 rhs = resid - (g.reshape(-1, 1, n * n) @ f_flat.T)[:, 0]
-                dy = np.linalg.solve(r, np.linalg.solve(r_t, rhs[..., None]))[..., 0]
-                lz_ds_ls = -np.einsum("mk,mkp->mp", dy, rows).reshape(-1, n, n)
-                dz = _sym(g - lz @ lz_ds_ls @ ls_t)
+                dy = (r_inv @ (r_inv.swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
+                dy_b = (dy[:, None] @ rows).reshape(-1, n, n)
+                dz = _sym(g + lz @ dy_b @ ls_t)
                 return dy, np.concatenate([dz, -(dy[:, None] @ f_flat).reshape(-1, n, n)])
 
             def steps(d):
-                """Step lengths of Z and S along d = (dZ, dS); zero where
-                the direction is not finite."""
-                fine = np.isfinite(d).all(axis=(1, 2)) & np.concatenate([ok, ok])
-                t = np.zeros(fine.size)
-                t[fine] = _psd_step(scal[fine], d[fine], mats[fine])
-                return t[:, None, None]
+                """Steps <= 1 of Z and S along d = (dZ, dS), 0.95 of the way to
+                the PSD boundary by the smallest eigenvalue of L^-1 d L^-T, zero
+                where d is not finite; unconfirmed (the predictor's sets sigma)."""
+                fine = both_ok & np.isfinite(d).all(axis=(1, 2))
+                lam = np.linalg.eigvalsh(np.where(fine[:, None, None], scal @ d @ scal_t, 0.0))
+                return np.where(fine, np.minimum(1.0, 0.95 / np.maximum(-lam[:, 0], 1e-300)), 0.0)
 
             d = direction(-za)[1]                                    # predictor
-            t = steps(d)
-            mu = gap / n
-            na = active.size
-            moved = mats + t * d
-            mu_aff = np.einsum("mij,mji->m", moved[:na], moved[na:]) / n
-            sigma = np.clip(mu_aff / mu, 0.0, 1.0) ** 3
+            moved = np.concatenate([za, s]) + steps(d)[:, None, None] * d
+            sigma = np.clip(np.einsum("mij,mji->m", moved[:na], moved[na:]) / gap, 0.0, 1.0) ** 3
             s_inv = ls @ ls_t
-            dz_ds = d[:na] @ d[na:] @ s_inv
-            dy, d = direction((sigma * mu)[:, None, None] * s_inv - za - dz_ds)  # corrector
-            t = steps(d)
+            g = (sigma * gap / n)[:, None, None] * s_inv - za - d[:na] @ d[na:] @ s_inv
+            dy, d = direction(g)                                     # corrector
+            t = steps(d).reshape(2, na)
             # a matrix with a non-finite direction stays frozen at its iterate
-            ok &= np.isfinite(dy).all(axis=1) & (t[:na, 0, 0] > 0)
-            z[active[ok]] = (za + t[:na] * d[:na])[ok]
-            y[active[ok]] += t[na:, 0][ok] * dy[ok]
-            active = active[ok]
+            ok &= np.isfinite(dy).all(axis=1) & (t > 0).all(axis=0)
+            d = d.reshape(2, na, n, n)
+            if not ok.all():
+                t[:, ~ok], dy[~ok], d[:, ~ok] = 0.0, 0.0, 0.0
+            for _ in range(60):  # the eigh that confirms the step is the next iteration's
+                za_t, ya_t = za + t[0][:, None, None] * d[0], ya + t[1][:, None] * dy
+                s = slack(aa, ya_t)
+                w, v = (x.reshape(2, na, *x.shape[1:])
+                        for x in np.linalg.eigh(np.concatenate([za_t, s])))
+                bad = (w[..., 0] <= 0) & ok
+                if not bad.any():
+                    break
+                t[bad] *= 0.5
+            za, ya = za_t, ya_t
+            gap = np.einsum("mij,mji->m", za, s)
+            keep = ok & (gap > stop)
+            if not keep.all():
+                z[active], y[active] = za, ya
+                active, aa, ya, za, s, stop, gap = (
+                    x[keep] for x in (active, aa, ya, za, s, stop, gap))
+                w, v = w[:, keep], v[:, keep]
+        z[active], y[active] = za, ya
 
     zf = z[:, None] @ f[None]                                       # Z F_j
     gram = np.einsum("kab,mjba->mkj", f, zf)
@@ -239,7 +239,7 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
     z[psd] = fixed[psd]
     coords = y[:, 1:]
     lower = np.linalg.eigvalsh(a_stack - (coords[:, None] @ f_flat[1:]).reshape(m, n, n))[:, 0]
-    return lower, coords, z, np.einsum("mij,mji->m", z, slack(np.arange(m)))
+    return lower, coords, z, np.einsum("mij,mji->m", z, slack(a_stack, y))
 
 
 # ----------------------------------------------------------------------

@@ -391,9 +391,16 @@ def _row_groups(stencil: _Stencil, ordering: str) -> list[np.ndarray]:
     return [np.flatnonzero(stencil.red_mask), np.flatnonzero(~stencil.red_mask)]
 
 
+def _pencil_table(stencil: _Stencil, rows: np.ndarray) -> tuple:
+    """_node_pencil's table of some rows: stencil indices, axis ghosts and d."""
+    r, c = stencil.ghost[rows].nonzero()
+    return (stencil.nbs[rows], r, c + 1, stencil.phi[rows[r], c],
+            stencil.theta[rows[r], c], stencil.pencil_d[rows])
+
+
 def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
-                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete Hessians H at the selected interior rows and the pencil
+                 table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete Hessians H at the rows of a _pencil_table and the pencil
     diagonal d: moving a row's center value by s gives exactly
     H - s diag(d) / h^2.
 
@@ -401,14 +408,12 @@ def _node_pencil(stencil: _Stencil, flat_vals: np.ndarray,
     t + (phi - t) / theta through the sphere crossing, which makes
     d_i = 1/theta+_i + 1/theta-_i (2 on a box); nothing is written to the
     array.  Corners read the array, lagged within a sweep."""
-    # take gathers rows faster than indexing
-    v = flat_vals[stencil.nbs.take(rows, axis=0)]
-    r, c = stencil.ghost.take(rows, axis=0).nonzero()
+    nbs, r, c, phi, theta, d = table
+    v = flat_vals[nbs]
     if r.size:
         t = v[r, 0]
-        v[r, c + 1] = t + (stencil.phi[rows[r], c] - t) / stencil.theta[rows[r], c]
-    return (_stencil_hessians(v, stencil.dom.n, stencil.dom.h * stencil.dom.h),
-            stencil.pencil_d.take(rows, axis=0))
+        v[r, c] = t + (phi - t) / theta
+    return _stencil_hessians(v, stencil.dom.n, stencil.dom.h * stencil.dom.h), d
 
 
 def _linear_operator(stencil: _Stencil, weight: np.ndarray):
@@ -527,7 +532,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     Each node moves to the root of its margin along the node pencil (see
     the module docstring): in closed form for linear margins and where d
     is constant, else by bisection to tol h^2 / 10 inside the
-    identity-shift bracket.  A linear margin <A, W> reads its row margins
+    identity-shift bracket; each row group's pencil table and bracket are
+    built once per solve.  A linear margin <A, W> reads its row margins
     from one weight table precomputed from the stencil, with the same
     iteration and omega.  For a margin <A, W> with diagonal W the sweeps
     are over-relaxed with Young's optimal factor
@@ -601,20 +607,23 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         den_lo = slope * stencil.pencil_d.max(axis=1)
         den_hi = slope * stencil.pencil_d.min(axis=1)
 
-    def pencil_shift(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's margin and root shift s of margin(H - s diag(d) / h^2)."""
-        a0, d = _node_pencil(stencil, flat, rows)
+    def pencil_shift(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Group k's margins and root shifts s of margin(H - s diag(d) / h^2)."""
+        table, group_lo, group_hi, closed = tables[k]
+        a0, d = _node_pencil(stencil, flat, table)
         m0 = margins(a0)
+        if closed:
+            return m0, h2 * m0 / group_lo
 
         def shifted(k, s):
             return a0[k] - (s / h2)[:, None, None] * (d[k][:, :, None] * eye)
 
-        lo, hi = h2 * m0 / den_lo[rows], h2 * m0 / den_hi[rows]
+        lo, hi = h2 * m0 / group_lo, h2 * m0 / group_hi
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         if use_bisection:
             pad = np.maximum(hi - lo, h2)
             lo, hi = lo - pad, hi + pad
-            every = np.arange(rows.size)
+            every = np.arange(m0.size)
             bad = int(np.count_nonzero((margins(shifted(every, lo)) < 0)
                                        | (margins(shifted(every, hi)) > 0)))
             if bad:
@@ -642,37 +651,39 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         op = idx, coef, const = _linear_operator(stencil, lin_w)
         blocks = [(idx[p].T.copy(), coef[p].T.copy(), const[rows], den_lo[rows])
                   for rows in groups for p in [rows.repeat(2) if rows.size == 1 else rows]]
+    else:  # pencil tables and bracket ends; a closed bracket (box rows) is the root
+        tables = [(_pencil_table(stencil, rows), den_lo[rows], den_hi[rows], not use_bisection
+                   and np.array_equal(den_lo[rows], den_hi[rows])) for rows in groups]
     # ghosts are a function of the interior values: refresh them within
     # the sweeps only where an update reads one, and once after the sweeps
     refresh_in_sweeps = _reads_ghosts(stencil, op)
 
-    def update_rows(k: int) -> tuple[float, float]:
-        """Move each row of group k by omega times its root shift; returns
-        the largest change and the largest |margin| before the move."""
+    ends = np.cumsum([0] + [rows.size for rows in groups])  # a sweep's moves and margins
+    moves, met = np.zeros(ends[-1]), np.zeros(ends[-1])
+
+    def update_rows(k: int) -> None:
+        """Move group k's rows by omega times their root shifts; record moves and margins."""
         rows = groups[k]
         if rows.size == 0:
-            return 0.0, 0.0
+            return
         if linear:
             idx_t, coef_t, c, den = blocks[k]
             m0 = np.einsum("kr,kr->r", coef_t, flat.take(idx_t))[:rows.size] + c
             shift = h2 * m0 / den
         else:
-            m0, shift = pencil_shift(rows)
+            m0, shift = pencil_shift(k)
         f_idx = centers[k]
         t = flat[f_idx]
         t_new = t + omega * shift
         flat[f_idx] = t_new
-        return float(np.abs(t_new - t).max()), float(np.abs(m0).max())
+        moves[ends[k]:ends[k + 1]], met[ends[k]:ends[k + 1]] = t_new - t, m0
 
     for sweeps in range(1, max_sweeps + 1):
-        if ordering == "lex":
-            steps = [update_rows(k) for k in range(len(groups))]
-        else:
-            steps = [update_rows(0)]
-            if refresh_in_sweeps:
+        for k in range(len(groups)):
+            if k and ordering == "redblack" and refresh_in_sweeps:
                 _refresh_ghosts(stencil, flat)
-            steps.append(update_rows(1))
-        worst, residual = np.max(steps, axis=0)
+            update_rows(k)
+        worst, residual = np.abs(moves).max(initial=0.0), np.abs(met).max(initial=0.0)
         if refresh_in_sweeps:
             _refresh_ghosts(stencil, flat)
         if sweeps % history_every == 0:

@@ -327,6 +327,15 @@ class TestCli:
         bad.write_text("2\n1 0 0\n")
         assert run_cli(["decompose", "--group", "on", "--matrix", str(bad)]) == 2
 
+    @pytest.mark.parametrize("size", ["0", "-1", "2.5", "x"])
+    def test_matrix_file_rejects_a_bad_size_line(self, tmp_path, capsys, size):
+        mat = tmp_path / "m.txt"
+        mat.write_text(f"{size}\n5\n")
+        with pytest.raises(ValueError, match="m.txt: n must be a positive integer"):
+            cli.read_matrix_file(mat)
+        assert run_cli(["decompose", "--group", "on", "--matrix", str(mat)]) == 2
+        assert f"n must be a positive integer, got {size!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, entry):
         mat = tmp_path / "m.txt"

@@ -586,15 +586,32 @@ class TestTranslateKernel:
         cone = cat.build_cone("P_C", 4)
         rng = np.random.default_rng(84)
         a = np.array([ss.random_symmetric(4, rng) for _ in range(3)])
-        solve = np.linalg.solve
-        monkeypatch.setattr(cn.np.linalg, "solve",
-                            lambda r, rhs: np.full(np.shape(solve(r, rhs)), np.nan))
+        inv = np.linalg.inv
+        monkeypatch.setattr(cn.np.linalg, "inv",
+                            lambda r: np.full(np.shape(inv(r)), np.nan))
         lower, coords, z, gap = cn.translate_sdp(a, cone.edge.basis)
         monkeypatch.undo()
         assert np.all(coords == 0)
         assert np.array_equal(lower, np.linalg.eigvalsh(a)[:, 0])
         assert np.all(lower <= cone.margin_batch(a))
         assert np.all(gap > 1.0)
+
+    def test_dispatch_budget(self, monkeypatch):
+        # an iteration (one qr) makes at most five LAPACK calls; set-up takes
+        # eigvalsh and eigh, and the final correction two eigvalsh
+        cone = cat.build_cone("P_EI", 4)
+        a = ss.random_symmetric(4, np.random.default_rng(86))
+        calls = dict.fromkeys(["eigh", "eigvalsh", "qr", "inv", "solve"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cn.np.linalg, name, counted)
+        lower = cn.translate_sdp(a[None], cone.edge.basis)[0]
+        monkeypatch.undo()
+        assert abs(lower[0] - cone.margin(a)) <= 1e-10 * (1.0 + ss.frob_norm(a))
+        assert calls["qr"] >= 5
+        assert sum(calls.values()) <= 5 * calls["qr"] + 4, calls
 
     def test_stalled_means_gap_not_closed(self, monkeypatch):
         cone = cat.build_cone("P_C", 4)

@@ -135,7 +135,7 @@ class TestDiscreteHessian:
         flat = rng.normal(size=dom.interior.size) * 10.0 ** rng.integers(
             -3, 3, size=dom.interior.size)
         rows = np.arange(st.flat_interior.size)
-        pencil, d = dh._node_pencil(st, flat, rows)
+        pencil, d = dh._node_pencil(st, flat, dh._pencil_table(st, rows))
         assert (d == 2.0).all()
         u = dh.GridField(dom, flat.reshape(dom.shape))
         for row in rows:
@@ -388,7 +388,7 @@ class TestNodeUpdate:
         st = dh._build_stencil(dom, lambda p: np.cos(2 * p[:, 0]) + p[:, 1])
         flat = rng.normal(size=dom.interior.size)
         rows = np.arange(st.flat_interior.size)
-        h0, d = dh._node_pencil(st, flat, rows)
+        h0, d = dh._node_pencil(st, flat, dh._pencil_table(st, rows))
         assert (d[~st.ghost[:, :dom.n] & ~st.ghost[:, dom.n:]] == 2.0).all()
         assert (d > 2.0).any()
         shifts = rng.normal(size=rows.size)
@@ -436,6 +436,20 @@ class TestNodeUpdate:
         assert not info.converged
         expect = 2.0 * info.max_update / (info.omega * dom.h ** 2)
         assert info.max_residual == pytest.approx(expect, rel=1e-9)
+
+    def test_bisection_reference_bisects_on_a_box(self):
+        # on a box d is constant, so the plain solve takes the root in
+        # closed form, one margin call per front; the reference still
+        # checks its bracket and bisects
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 4)
+        fronts = len(dh._lex_fronts(dh._build_stencil(dom, smooth2)))
+        for bisect in (False, True):
+            cone = cat.build_cone("P", 2)
+            calls, kernel = [], cone._margins_and_witnesses
+            cone._margins_and_witnesses = lambda a: calls.append(len(a)) or kernel(a)
+            _, info = dh.perron_solve(cone, dom, smooth2, max_sweeps=3, use_bisection=bisect)
+            per_front = len(calls) / (fronts * info.sweeps)
+            assert per_front > 3 if bisect else per_front == 1
 
     def test_bisection_reference_checks_its_bracket(self):
         class RisingMargin(cn.ConeHandle):
@@ -490,7 +504,7 @@ class TestLinearOperator:
         # every row sums its terms in lattice order
         assert (np.diff(idx, axis=1) > 0).all()
         for rows in groups:
-            hess, _ = dh._node_pencil(st, flat, rows)
+            hess, _ = dh._node_pencil(st, flat, dh._pencil_table(st, rows))
             expect = cone.margin_batch(hess)
             got = (coef[rows] * flat[idx[rows]]).sum(axis=1) + const[rows]
             scale = 1.0 + np.abs(hess).reshape(rows.size, -1).max(axis=1)
@@ -616,6 +630,21 @@ class TestLexFronts:
         kwargs = {"tol": 1e-9, **kwargs}
         u, info = dh.perron_solve(cat.build_cone(name, n), dom, phi,
                                   ordering="lex", **kwargs)
+        assert info.converged and info.sweeps == sweeps
+        assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
+
+
+    # sha256 of u.values and the sweep count of red-black solves at tol
+    # 1e-9 on the pencil route: a bisected disk and a closed-form box
+    @pytest.mark.parametrize("name, n, dom, phi, digest, sweeps", [
+        ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2,
+         "af8478163ae82dea9c314ab626eb818abc91628bddd8f041461a995b2e372c70", 126),
+        ("P_C", 4, dh.GridDomain.box(**BOX4), smooth4,
+         "1cb551e331da0ae62ea53676c012c81a3e0b960764c205b2bdd2213b9703a8d5", 42),
+    ], ids=["P2-disk", "P_C4-box"])
+    def test_pinned_red_black_solves(self, name, n, dom, phi, digest, sweeps):
+        u, info = dh.perron_solve(cat.build_cone(name, n), dom, phi,
+                                  ordering="redblack", tol=1e-9)
         assert info.converged and info.sweeps == sweeps
         assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
 
