@@ -38,9 +38,9 @@ def search(minimal, geo_margin, budget, seed, floor=1e-4):
         else:
             # hug the minimal cone boundary from outside
             a = ss.random_symmetric(n, rng)
-            m, *_ = minimal.optimizer_margin(a, quick=True)
+            m, *_ = minimal.optimizer_margin(a)
             a = a + (0.02 - m) * np.eye(n)
-        m_min, *_ = minimal.optimizer_margin(a, quick=True)
+        m_min, *_ = minimal.optimizer_margin(a)
         m_geo = float(geo_margin(a))
         if min(abs(m_min), abs(m_geo)) <= floor:
             continue

@@ -98,25 +98,18 @@ def edge_from_components(group: st.Group, components, comps=None) -> SymSubspace
 # min <A, Z> over the polar base tr Z = 1
 # ----------------------------------------------------------------------
 
-def _psd(n):
-    return lambda a: np.linalg.eigvalsh(a)[..., 0]
-
-
 def _trace(n):
     return lambda a: np.trace(a, axis1=-2, axis2=-1) / n
 
 
-def _hermitian(label):
+def _lambda_min(part):
+    """lambda_min of the named commutant part of A: "sym" (A itself) for P,
+    "<s>_sym" for P_C over the structure s, "h_sym" for P_H."""
     def factory(n):
-        i_mat = st.structure(n, label)
-        return lambda a: np.linalg.eigvalsh(st.complex_sym_part(a, i_mat))[..., 0]
+        proj = st.character_map(n, st.CHARACTERS[part])
+        return lambda a: np.linalg.eigvalsh(proj(a))[..., 0]
 
     return factory
-
-
-def _quaternionic(n):
-    trip = st.quaternion_triple(n // 4)
-    return lambda a: np.linalg.eigvalsh(st.quat_sym_part(a, trip))[..., 0]
 
 
 def _lagrangian(label):
@@ -124,13 +117,13 @@ def _lagrangian(label):
     I named by `label`: the sum of the k smallest eigenvalues of the span
     part of A, divided by k; equal to (tr A - nuclear norm of (A + IAI)/2) / n."""
     def factory(n):
-        i_mat = st.structure(n, label)
+        skew = st.character_map(n, st.CHARACTERS[f"{label}_skew"])
         k = n // 2
         eye = np.eye(n)
 
         def kernel(a):
             tr = np.trace(a, axis1=-2, axis2=-1) / n
-            span = st.complex_skew_part(a, i_mat) + tr[:, None, None] * eye
+            span = skew(a) + tr[:, None, None] * eye
             return np.linalg.eigvalsh(span)[:, :k].sum(axis=1) / k
 
         return kernel
@@ -143,10 +136,10 @@ def _gl_ijk(label):
     by `label`, lagrangian for the other two: (tr A - nuclear norm of the
     `label`-aligned part) / N."""
     def factory(n):
-        trip = st.quaternion_triple(n // 4)
+        aligned = st.character_map(n, st.CHARACTERS[f"e_{label}"])
 
         def kernel(a):
-            lam = np.linalg.eigvalsh(st.e_structure_part(a, trip, label))
+            lam = np.linalg.eigvalsh(aligned(a))
             return (np.trace(a, axis1=-2, axis2=-1) - np.abs(lam).sum(axis=1)) / n
 
         return kernel
@@ -173,22 +166,22 @@ class EdgeFamily:
 FAMILIES = {
     "on": {
         ("sym0",): EdgeFamily("laplace", ("on",), False, _trace),
-        (): EdgeFamily("P", ("on",), False, _psd),
+        (): EdgeFamily("P", ("on",), False, _lambda_min("sym")),
     },
     "un": {
-        (): EdgeFamily("P", ("on",), False, _psd),
+        (): EdgeFamily("P", ("on",), False, _lambda_min("sym")),
         ("c_sym0",): EdgeFamily("P_LAG", ("un", "std"), False, _lagrangian("c")),
-        ("c_skew",): EdgeFamily("P_C", ("un", "std"), False, _hermitian("c")),
+        ("c_skew",): EdgeFamily("P_C", ("un", "std"), False, _lambda_min("c_sym")),
         ("c_sym0", "c_skew"): EdgeFamily("laplace", ("on",), False, _trace),
     },
     "spn_sp1": {
-        (): EdgeFamily("P", ("on",), False, _psd),
+        (): EdgeFamily("P", ("on",), False, _lambda_min("sym")),
         ("h_sym0",): EdgeFamily("P_HSYM", ("spn_sp1",), False, None),
-        ("h_skew3",): EdgeFamily("P_H", ("spn_sp1",), False, _quaternionic),
+        ("h_skew3",): EdgeFamily("P_H", ("spn_sp1",), False, _lambda_min("h_sym")),
         ("h_sym0", "h_skew3"): EdgeFamily("laplace", ("on",), False, _trace),
     },
     "spn_s1": {
-        (): EdgeFamily("P", ("on",), False, _psd),
+        (): EdgeFamily("P", ("on",), False, _lambda_min("sym")),
         ("h_sym0",): EdgeFamily("P_HSYM", ("spn_sp1",), False, None),
         ("e_i",): EdgeFamily("P_EI[i]", ("spn_s1", "i"), True, None),
         ("e_j",): EdgeFamily("P_EI[j]", ("spn_s1", "j"), True, None),
@@ -199,10 +192,10 @@ FAMILIES = {
         ("h_sym0", "e_i", "e_j"): EdgeFamily("GL_IJK[k]", ("spn_s1", "k"), True, _gl_ijk("k")),
         ("h_sym0", "e_i", "e_k"): EdgeFamily("GL_IJK[j]", ("spn_s1", "j"), True, _gl_ijk("j")),
         ("h_sym0", "e_j", "e_k"): EdgeFamily("GL_IJK[i]", ("spn_s1", "i"), True, _gl_ijk("i")),
-        ("e_i", "e_j"): EdgeFamily("P_C[k]", ("un", "k"), False, _hermitian("k")),
-        ("e_i", "e_k"): EdgeFamily("P_C[j]", ("un", "j"), False, _hermitian("j")),
-        ("e_j", "e_k"): EdgeFamily("P_C[i]", ("un", "i"), False, _hermitian("i")),
-        ("e_i", "e_j", "e_k"): EdgeFamily("P_H", ("spn_sp1",), False, _quaternionic),
+        ("e_i", "e_j"): EdgeFamily("P_C[k]", ("un", "k"), False, _lambda_min("k_sym")),
+        ("e_i", "e_k"): EdgeFamily("P_C[j]", ("un", "j"), False, _lambda_min("j_sym")),
+        ("e_j", "e_k"): EdgeFamily("P_C[i]", ("un", "i"), False, _lambda_min("i_sym")),
+        ("e_i", "e_j", "e_k"): EdgeFamily("P_H", ("spn_sp1",), False, _lambda_min("h_sym")),
         ("h_sym0", "e_i", "e_j", "e_k"): EdgeFamily("laplace", ("on",), False, _trace),
     },
 }

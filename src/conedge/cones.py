@@ -547,10 +547,11 @@ class EdgeCone(ConeHandle):
 
 
 class HalfspaceCone(ConeHandle):
-    """{A : <A, N> >= 0} for a unit-norm PSD normal N."""
+    """{A : <A, N> >= 0} for a unit-norm PSD normal N; N is checked as
+    sym_matrix checks a matrix (square, finite, symmetric)."""
 
     def __init__(self, normal: np.ndarray):
-        normal = np.asarray(normal, dtype=float)
+        normal = sym_matrix(normal)
         nrm = frob_norm(normal)
         if nrm < 1e-14:
             raise ValueError("normal must be nonzero")
@@ -708,12 +709,10 @@ def _algebra_projector(family: st.PlaneFamily):
     it): the commutant of the structures its frames are built against,
     plus the span of I, J, K for quaternionic lines."""
     _, mats, _ = st.family_spec(family)
+    row = (family.seeds, 1, (-1,) * len(mats))  # the commutant's all-minus row
 
     def proj(x):
-        out = x
-        for m in mats:
-            out = out - m @ x @ m
-        out = out / (1 + len(mats))
+        out = st.character(x, row, mats)
         if family.tag == "hp":  # sp(n) + sp(1)
             for m in mats:
                 coef = np.vecdot(x.reshape(len(x), -1), m.ravel()) / np.vdot(m, m)

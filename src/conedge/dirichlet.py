@@ -559,9 +559,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         raise ValueError("phi must be callable on coordinate arrays")
     if ordering not in ("lex", "redblack"):
         raise ValueError(f"ordering must be 'lex' or 'redblack', got {ordering!r}")
-    for name, count in (("max_sweeps", max_sweeps), ("history_every", history_every)):
-        if not (isinstance(count, (int, np.integer)) and count >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    max_sweeps = _positive_int("max_sweeps", max_sweeps)
+    history_every = _positive_int("history_every", history_every)
     b_vals = boundary_values(dom, phi)
     bad = int(np.count_nonzero(~np.isfinite(b_vals)))
     if bad:

@@ -42,11 +42,18 @@ class EdgeQuadratic:
 
 def make_edge_quadratic(edge: SymSubspace, c: float, b, curvature) -> EdgeQuadratic:
     """Validate curvature against the edge; small residues are projected
-    away, larger ones are refused."""
+    away, larger ones are refused.  c, b and curvature must be finite, of
+    shapes (), (n,) and (n, n) for the edge's ambient n."""
     b = np.asarray(b, dtype=float)
     curvature = np.asarray(curvature, dtype=float)
-    if curvature.shape[0] != edge.ambient_n:
-        raise ValueError("curvature dimension does not match the edge ambient")
+    c = float(c)
+    n = edge.ambient_n
+    if curvature.shape != (n, n):
+        raise ValueError(f"curvature must have shape ({n}, {n}), got {curvature.shape}")
+    if b.shape != (n,):
+        raise ValueError(f"b must have shape ({n},), got {b.shape}")
+    if not (np.isfinite(c) and np.isfinite(b).all() and np.isfinite(curvature).all()):
+        raise ValueError("c, b and curvature must be finite")
     if np.abs(curvature - curvature.T).max() > 1e-10 * (1 + np.abs(curvature).max()):
         raise ValueError("curvature must be symmetric")
     proj = subspace_project(edge, curvature)
@@ -54,7 +61,7 @@ def make_edge_quadratic(edge: SymSubspace, c: float, b, curvature) -> EdgeQuadra
     if resid > CONSTRUCT_RTOL * (1.0 + frob_norm(curvature)):
         raise ValueError(
             f"curvature is not inside the edge (residual {resid:.3e})")
-    return EdgeQuadratic(float(c), b, proj)
+    return EdgeQuadratic(c, b, proj)
 
 
 def sample_edge_quadratics(edge: SymSubspace, count: int, radius: float,

@@ -13,8 +13,13 @@ of matrices commuting with I and anti-commuting with J, K, and the
 determinant-type operator values built from grouped eigenvalues.
 
 A structure label, "c" (complex) or "i", "j", "k" (quaternionic), names a
-matrix `structure(n, label)`.  Each plane family is one `_PLANE_FAMILIES`
-row, which its validation, dimension, sampler and relations all read.
+matrix `structure(n, label)`.  Every structure projection is one row of the
+character table `CHARACTERS`, (labels, c, signs) for the part
+(c A + s_1 M_1 A M_1 + ...)/(1 + #M), evaluated by `character`: the public
+projectors, the group components (`_COMPONENTS`), the determinant parts,
+the plane families' Lie algebra projector and the catalog's closed forms.
+Each plane family is one `_PLANE_FAMILIES` row, which its validation,
+dimension, sampler and relations all read.
 
 Every sampler rests on one structured frame builder, `orthonormal_rows`:
 vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
@@ -157,29 +162,63 @@ def right_scalar(trip: QuaternionTriple, q) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# closed-form projections
+# closed-form projections: one character table
 # ----------------------------------------------------------------------
+
+# Character rows by part name: (structure labels, coefficient c of A, sign s
+# per structure M) give the part (c A + s_1 M_1 A M_1 + ...)/(1 + #M) of Sym2.
+# As M^2 = -Id, s = -1 keeps what commutes with M and +1 what anti-commutes;
+# the all-minus row over some structures is the part commuting with each.
+# "sym" is A itself; "<s>_sym" and "<s>_skew" split Sym2 under the one
+# structure s; "h_skew3" complements "h_sym", and the three "e_<s>" split it.
+CHARACTERS = {
+    "sym": ((), 1, ()),
+    **{f"{s}_sym": ((s,), 1, (-1,)) for s in ("c", *_IJK)},
+    **{f"{s}_skew": ((s,), 1, (1,)) for s in ("c", *_IJK)},
+    "h_sym": (_IJK, 1, (-1, -1, -1)),
+    "h_skew3": (_IJK, 3, (1, 1, 1)),
+    "e_i": (_IJK, 1, (-1, 1, 1)),
+    "e_j": (_IJK, 1, (1, -1, 1)),
+    "e_k": (_IJK, 1, (1, 1, -1)),
+}
+
+
+def character(a: np.ndarray, row: tuple, mats) -> np.ndarray:
+    """A character row's part of a matrix or (m, n, n) stack `a`, with `mats`
+    the matrices of the row's structures in label order; the terms are summed
+    left to right, as the formula reads."""
+    _, coef, signs = row
+    out = a if coef == 1 else coef * a
+    for sign, m in zip(signs, mats):
+        out = out + m @ a @ m if sign > 0 else out - m @ a @ m
+    return out / (1 + len(signs))
+
+
+def character_map(n: int, row: tuple):
+    """`character` of one row at ambient dimension n as a one-argument map;
+    the structure matrices are built once."""
+    mats = [structure(n, label) for label in row[0]]
+    return lambda a: character(a, row, mats)
+
 
 def complex_sym_part(a: np.ndarray, i_mat: np.ndarray) -> np.ndarray:
     """Component commuting with the complex structure: (A - IAI)/2."""
-    return 0.5 * (a - i_mat @ a @ i_mat)
+    return character(a, CHARACTERS["c_sym"], (i_mat,))
 
 
 def complex_skew_part(a: np.ndarray, i_mat: np.ndarray) -> np.ndarray:
     """Component anti-commuting with the complex structure: (A + IAI)/2."""
-    return 0.5 * (a + i_mat @ a @ i_mat)
+    return character(a, CHARACTERS["c_skew"], (i_mat,))
 
 
 def quat_sym_part(a: np.ndarray, trip: QuaternionTriple) -> np.ndarray:
     """(A - IAI - JAJ - KAK)/4: commutes with I, J and K."""
-    i, j, k = trip.i, trip.j, trip.k
-    return 0.25 * (a - i @ a @ i - j @ a @ j - k @ a @ k)
+    return character(a, CHARACTERS["h_sym"], (trip.i, trip.j, trip.k))
 
 
 def quat_skew_part(a: np.ndarray, trip: QuaternionTriple) -> np.ndarray:
     """(3A + IAI + JAJ + KAK)/4: complement of the commuting component."""
-    i, j, k = trip.i, trip.j, trip.k
-    return 0.25 * (3 * a + i @ a @ i + j @ a @ j + k @ a @ k)
+    return character(a, CHARACTERS["h_skew3"], (trip.i, trip.j, trip.k))
 
 
 def e_structure_part(a: np.ndarray, trip: QuaternionTriple, which: str) -> np.ndarray:
@@ -189,14 +228,9 @@ def e_structure_part(a: np.ndarray, trip: QuaternionTriple, which: str) -> np.nd
     two; the three projectors are idempotent, mutually annihilating and sum
     to quat_skew_part.
     """
-    i, j, k = trip.i, trip.j, trip.k
-    if which == "i":
-        return 0.25 * (a - i @ a @ i + j @ a @ j + k @ a @ k)
-    if which == "j":
-        return 0.25 * (a + i @ a @ i - j @ a @ j + k @ a @ k)
-    if which == "k":
-        return 0.25 * (a + i @ a @ i + j @ a @ j - k @ a @ k)
-    raise ValueError(f"unknown structure label {which!r}")
+    if which not in _IJK:
+        raise ValueError(f"unknown structure label {which!r}")
+    return character(a, CHARACTERS[f"e_{which}"], (trip.i, trip.j, trip.k))
 
 
 def verify_e_structure_projectors(n: int, trials: int = 20, seed: int = 0) -> float:
@@ -227,54 +261,38 @@ def verify_e_structure_projectors(n: int, trials: int = 20, seed: int = 0) -> fl
 # invariant decompositions
 # ----------------------------------------------------------------------
 
-def _traceless(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return a - (np.trace(a) / n) * np.eye(n)
+# Irreducible components after "id" by group kind: each is named by its
+# character row, with a trailing 0 for the row's traceless part.  spn and
+# spn_s1 share the finest (plain quaternionic) splitting.
+_COMPONENTS = {
+    "on": ("sym0",),
+    "un": ("c_sym0", "c_skew"),
+    "spn_sp1": ("h_sym0", "h_skew3"),
+    "spn": ("h_sym0", "e_i", "e_j", "e_k"),
+    "spn_s1": ("h_sym0", "e_i", "e_j", "e_k"),
+}
 
 
-def _component_map(group: Group):
-    """name -> linear map Sym2 -> Sym2 realizing each irreducible projector."""
-    n = group.dim
-    eye = np.eye(n)
-
-    def id_part(a):
-        return (np.trace(a) / n) * eye
-
-    if group.kind == "on":
-        return {"id": id_part, "sym0": _traceless}
-    if group.kind == "un":
-        i_mat = complex_structure(n)
-        return {
-            "id": id_part,
-            "c_sym0": lambda a: _traceless(complex_sym_part(a, i_mat)),
-            "c_skew": lambda a: complex_skew_part(a, i_mat),
-        }
-    trip = quaternion_triple(n // 4)
-    base = {
-        "id": id_part,
-        "h_sym0": lambda a: _traceless(quat_sym_part(a, trip)),
-    }
-    if group.kind == "spn_sp1":
-        base["h_skew3"] = lambda a: quat_skew_part(a, trip)
-    else:  # spn / spn_s1 share the finest (plain quaternionic) splitting
-        base["e_i"] = lambda a: e_structure_part(a, trip, "i")
-        base["e_j"] = lambda a: e_structure_part(a, trip, "j")
-        base["e_k"] = lambda a: e_structure_part(a, trip, "k")
-    return base
+def _project(n: int, component: str, a: np.ndarray) -> np.ndarray:
+    """The named component of a matrix: "id" is the trace part, any other
+    name its character row's part, traceless when the name ends in 0."""
+    if component == "id":
+        return (np.trace(a) / n) * np.eye(n)
+    b = character_map(n, CHARACTERS[component.removesuffix("0")])(a)
+    return b - (np.trace(b) / n) * np.eye(n) if component.endswith("0") else b
 
 
 def component_names(group: Group) -> list[str]:
-    return list(_component_map(group).keys())
+    return ["id", *_COMPONENTS[group.kind]]
 
 
 def group_project(group: Group, component: str, a: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix onto one named invariant component."""
-    cmap = _component_map(group)
-    if component not in cmap:
+    if component not in component_names(group):
         raise KeyError(f"unknown component {component!r} for group {group.kind}")
     if a.shape[0] != group.dim:
         raise ValueError(f"matrix is {a.shape[0]}x, group ambient {group.dim}")
-    return cmap[component](a)
+    return _project(group.dim, component, a)
 
 
 def irreducible_components(group: Group) -> dict[str, SymSubspace]:
@@ -284,10 +302,9 @@ def irreducible_components(group: Group) -> dict[str, SymSubspace]:
     projector and orthonormalizing, so they are deterministic.
     """
     n = group.dim
-    cmap = _component_map(group)
     out = {}
-    for name, proj in cmap.items():
-        gens = [proj(b) for b in standard_basis(n)]
+    for name in component_names(group):
+        gens = [_project(n, name, b) for b in standard_basis(n)]
         out[name] = orthonormalize(gens, ambient_n=n)
     total = sum(s.dim for s in out.values())
     if total != n * (n + 1) // 2:
@@ -299,15 +316,13 @@ def reduced_projected_pe(n: int, e) -> np.ndarray:
     """Projection of the rank-one projector P_e onto R.Id + the three
     structure-aligned skew components of Sym2(H^n).
 
-    Closed form: Id/(4n) + (3 P_e - P_{Ie} - P_{Je} - P_{Ke})/4.
+    Closed form: Id/(4n) + (3 P_e - P_{Ie} - P_{Je} - P_{Ke})/4, the second
+    term the h_skew3 part of P_e (P_{Me} = -M P_e M).
     """
     e = np.asarray(e, dtype=float)
     if abs(np.linalg.norm(e) - 1.0) > FRAME_TOL:
         raise ValueError("e must be a unit vector")
-    trip = quaternion_triple(n)
-    pe = np.outer(e, e)
-    p = [np.outer(m @ e, m @ e) for m in (trip.i, trip.j, trip.k)]
-    return np.eye(4 * n) / (4 * n) + 0.25 * (3 * pe - p[0] - p[1] - p[2])
+    return np.eye(4 * n) / (4 * n) + quat_skew_part(np.outer(e, e), quaternion_triple(n))
 
 
 # ----------------------------------------------------------------------
@@ -353,10 +368,14 @@ class PlaneFamily:
         if self.tag == "grass":
             if not self.p or not 1 <= self.p <= self.ambient:
                 raise ValueError("grass needs a plane dimension 1..ambient")
-        seeds, _, _ = _PLANE_FAMILIES[self.tag]
-        modulus = max((4 if s in _IJK else 2 for s in seeds), default=1)
+        modulus = max((4 if s in _IJK else 2 for s in self.seeds), default=1)
         if self.ambient % modulus:
             raise ValueError(f"{self.tag} needs ambient dimension divisible by {modulus}")
+
+    @property
+    def seeds(self) -> tuple:
+        """Labels of the structures the family's seeds are orthonormal against."""
+        return _PLANE_FAMILIES[self.tag][0]
 
     @property
     def plane_dim(self) -> int:
@@ -594,16 +613,10 @@ class CanonicalFormEI:
     hframe: np.ndarray        # (n, 4n) rows e_l, jointly H-orthonormal
 
     def reconstruct(self, trip: QuaternionTriple) -> np.ndarray:
-        n4 = trip.dim
-        out = np.zeros((n4, n4))
-        for lam, e in zip(self.lambdas, self.hframe):
-            out += lam * (
-                np.outer(e, e)
-                + np.outer(trip.i @ e, trip.i @ e)
-                - np.outer(trip.j @ e, trip.j @ e)
-                - np.outer(trip.k @ e, trip.k @ e)
-            )
-        return out
+        """As P_{Me} = -M P_e M, the sum is 4 times the I-aligned part of
+        sum_l lambda_l P_{e_l}."""
+        pe = np.einsum("l,li,lj->ij", self.lambdas, self.hframe, self.hframe)
+        return 4 * e_structure_part(pe, trip, "i")
 
 
 def canonical_form_ei(a: np.ndarray, trip: QuaternionTriple | None = None) -> CanonicalFormEI:
@@ -652,6 +665,10 @@ def canonical_form_ei(a: np.ndarray, trip: QuaternionTriple | None = None) -> Ca
 # determinant-type operator values
 # ----------------------------------------------------------------------
 
+# group kind -> (character part, eigenvalue multiplicity) of its determinant
+_DETERMINANT_PARTS = {"on": ("sym", 1), "un": ("c_sym", 2), "spn_sp1": ("h_sym", 4)}
+
+
 def _grouped_eigenvalues(a: np.ndarray, multiplicity: int, scale: float) -> np.ndarray:
     """One representative per eigenvalue group of the given multiplicity."""
     lam = np.linalg.eigvalsh(a)
@@ -667,18 +684,12 @@ def _grouped_eigenvalues(a: np.ndarray, multiplicity: int, scale: float) -> np.n
 
 
 def monge_ampere_value(group: Group, a: np.ndarray) -> float:
-    """Product of grouped eigenvalues of the structure-compatible part."""
+    """Product of grouped eigenvalues of the structure-compatible part, the
+    commutant of the group's structures."""
     if a.shape[0] != group.dim:
         raise ValueError("dimension mismatch")
-    scale = frob_norm(a)
-    if group.kind == "on":
-        return float(np.prod(np.linalg.eigvalsh(a)))
-    if group.kind == "un":
-        i_mat = complex_structure(group.dim)
-        paired = _grouped_eigenvalues(complex_sym_part(a, i_mat), 2, scale)
-        return float(np.prod(paired))
-    if group.kind == "spn_sp1":
-        trip = quaternion_triple(group.dim // 4)
-        quads = _grouped_eigenvalues(quat_sym_part(a, trip), 4, scale)
-        return float(np.prod(quads))
-    raise ValueError(f"no determinant operator for group {group.kind}")
+    if group.kind not in _DETERMINANT_PARTS:
+        raise ValueError(f"no determinant operator for group {group.kind}")
+    part, multiplicity = _DETERMINANT_PARTS[group.kind]
+    sym = character_map(group.dim, CHARACTERS[part])(a)
+    return float(np.prod(_grouped_eigenvalues(sym, multiplicity, frob_norm(a))))

@@ -82,6 +82,18 @@ class TestEdgeConeMembership:
         with pytest.raises(ValueError):
             cn.HalfspaceCone(np.diag([1.0, -1.0]))
 
+    def test_halfspace_rejects_nan_normal(self):
+        with pytest.raises(ValueError, match="finite"):
+            cn.HalfspaceCone(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_halfspace_rejects_infinite_normal(self):
+        with pytest.raises(ValueError, match="finite"):
+            cn.HalfspaceCone(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_halfspace_rejects_asymmetric_normal(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            cn.HalfspaceCone(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
 
 class TestOracleInputChecks:
     """contains and dual_contains reject bad matrices where they enter,

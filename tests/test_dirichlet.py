@@ -782,12 +782,21 @@ class TestSolverInput:
         ({"max_sweeps": -1}, "max_sweeps"),
         ({"history_every": 0}, "history_every"),
         ({"history_every": -3}, "history_every"),
+        *[({name: bad}, name) for name in ("max_sweeps", "history_every")
+          for bad in (True, False, 1.5)],
     ])
     def test_bad_options(self, no_stencil, kwargs, name):
         lap = cat.build_cone("laplace", 2)
         dom = dh.GridDomain.ball(1.0, 1 / 4)
         with pytest.raises(ValueError, match=name):
             dh.perron_solve(lap, dom, lambda p: p[:, 0], **kwargs)
+
+    def test_numpy_integer_counts(self):
+        lap = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 4)
+        _, info = dh.perron_solve(lap, dom, lambda p: p[:, 0], max_sweeps=np.int64(5),
+                                  history_every=np.int64(5))
+        assert info.sweeps <= 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_boundary_values(self, no_stencil, bad):

@@ -41,6 +41,27 @@ class TestEdgeQuadratic:
         with pytest.raises(ValueError):
             ef.make_edge_quadratic(edge, 0.0, np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("c, b, curv", [
+        (0.0, np.zeros(2), np.diag([np.nan, -1.0])),
+        (0.0, np.array([np.nan, 0.0]), np.diag([1.0, -1.0])),
+        (np.inf, np.zeros(2), np.diag([1.0, -1.0])),
+    ])
+    def test_refuses_non_finite_input(self, c, b, curv):
+        edge = ss.orthonormalize([np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="finite"):
+            ef.make_edge_quadratic(edge, c, b, curv)
+
+    @pytest.mark.parametrize("b, curv", [
+        (np.zeros(3), np.diag([1.0, -1.0])),
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros(2), np.float64(1.0)),
+        (np.zeros(2), np.zeros((2, 3))),
+    ])
+    def test_refuses_mis_sized_input(self, b, curv):
+        edge = ss.orthonormalize([np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="shape"):
+            ef.make_edge_quadratic(edge, 0.0, b, curv)
+
     def test_projects_tiny_residue(self):
         edge = ss.orthonormalize([np.diag([1.0, -1.0])])
         curv = np.diag([1.0, -1.0]) + 1e-9 * np.eye(2)

@@ -153,6 +153,55 @@ class TestComponents:
         assert st.verify_e_structure_projectors(2, trials=50, seed=1) <= 1e-10
 
 
+def literal_parts(a, n):
+    """Every character row written out by hand, in the formula's order."""
+    i, j, k = (st.structure(n, s) for s in "ijk")
+    out = {
+        "sym": a,
+        "h_sym": 0.25 * (a - i @ a @ i - j @ a @ j - k @ a @ k),
+        "h_skew3": 0.25 * (3 * a + i @ a @ i + j @ a @ j + k @ a @ k),
+        "e_i": 0.25 * (a - i @ a @ i + j @ a @ j + k @ a @ k),
+        "e_j": 0.25 * (a + i @ a @ i - j @ a @ j + k @ a @ k),
+        "e_k": 0.25 * (a + i @ a @ i + j @ a @ j - k @ a @ k),
+    }
+    for s in "cijk":
+        m = st.structure(n, s)
+        out[f"{s}_sym"] = 0.5 * (a - m @ a @ m)
+        out[f"{s}_skew"] = 0.5 * (a + m @ a @ m)
+    return out
+
+
+class TestCharacterTable:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_rows_equal_their_literal_formulas(self, n, rng):
+        g = rng.normal(size=(40, n, n))
+        stack = g + g.mT
+        for a in (stack, stack[3]):
+            literal = literal_parts(a, n)
+            assert literal.keys() == st.CHARACTERS.keys()
+            for name, row in st.CHARACTERS.items():
+                assert np.array_equal(st.character_map(n, row)(a), literal[name]), name
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_public_projectors_read_the_table(self, n, rng):
+        g = rng.normal(size=(40, n, n))
+        trip = st.quaternion_triple(n // 4)
+        for a in (g + g.mT, g[5] + g[5].T):
+            literal = literal_parts(a, n)
+            for s in "cijk":
+                m = st.structure(n, s)
+                assert np.array_equal(st.complex_sym_part(a, m), literal[f"{s}_sym"])
+                assert np.array_equal(st.complex_skew_part(a, m), literal[f"{s}_skew"])
+            assert np.array_equal(st.quat_sym_part(a, trip), literal["h_sym"])
+            assert np.array_equal(st.quat_skew_part(a, trip), literal["h_skew3"])
+            for s in "ijk":
+                assert np.array_equal(st.e_structure_part(a, trip, s), literal[f"e_{s}"])
+
+    def test_unknown_e_label(self):
+        with pytest.raises(ValueError):
+            st.e_structure_part(np.eye(4), st.quaternion_triple(1), "c")
+
+
 class TestReducedPe:
     def test_hand_value_n1(self):
         out = st.reduced_projected_pe(1, np.eye(4)[0])
