@@ -1,7 +1,8 @@
 """Enumeration of invariant basic edges and their minimal cones.
 
 For each of the four compact groups, every direct sum of non-identity
-irreducible components is a candidate edge; all of them are traceless and
+irreducible components (its `structures.GROUP_KINDS` row) is a candidate
+edge, built by `catalog.edge_from_components`; all of them are traceless and
 therefore basic, which the code verifies rather than assumes.  Each entry
 reads its named family from one row of `catalog.FAMILIES`: the label, the
 smallest previously-known family that already contains it (a larger
@@ -20,13 +21,8 @@ import numpy as np
 
 from . import catalog as cat
 from . import structures as st
-from .cones import EdgeCone, is_basic_edge
-from .symspace import (
-    SymSubspace,
-    as_rng,
-    direct_sum,
-    zero_subspace,
-)
+from .cones import EdgeCone, _positive_int, is_basic_edge
+from .symspace import SymSubspace, as_rng
 
 INVARIANCE_TOL = 1e-8
 NON_INVARIANCE_RESID = 1e-4
@@ -49,23 +45,25 @@ class CatalogEntry:
     degenerate: bool = False           # some component collapsed to dim 0
 
 
+# group kind -> name of its sampled group; a key's direction follows in brackets
+_SAMPLER_NAMES = {"on": "orthogonal", "un": "unitary", "spn": "quaternionic",
+                  "spn_sp1": "quaternionic-enhanced", "spn_s1": "quaternionic-circle"}
+
+
+def _direction(key: tuple) -> str | None:
+    """A sampler key's structure label; None for none or "std" (standard)."""
+    return key[1] if len(key) > 1 and key[1] != "std" else None
+
+
 def element_sampler(key: tuple, n_real: int):
-    """`seed or rng -> g` for a sampler key; "std" is the standard structure."""
-    direction = key[1] if len(key) > 1 and key[1] != "std" else None
-    return st.group_sampler(st.Group(key[0], n_real), direction)
+    """`seed or rng -> g` for a sampler key (kind, optional direction)."""
+    return st.group_sampler(st.Group(key[0], n_real), _direction(key))
 
 
 def sampler_label(key: tuple) -> str:
-    kind = key[0]
-    if kind == "on":
-        return "orthogonal"
-    if kind == "un":
-        return "unitary" if len(key) == 1 or key[1] == "std" else f"unitary[{key[1]}]"
-    if kind == "spn":
-        return "quaternionic"
-    if kind == "spn_sp1":
-        return "quaternionic-enhanced"
-    return f"quaternionic-circle[{key[1]}]"
+    """The sampled group's name, with the key's direction in brackets."""
+    direction = _direction(key)
+    return _SAMPLER_NAMES[key[0]] + (f"[{direction}]" if direction else "")
 
 
 def enumerate_basic_edges(group: st.Group, *, build_cones: bool = True,
@@ -77,9 +75,8 @@ def enumerate_basic_edges(group: st.Group, *, build_cones: bool = True,
     entries = []
     for size in range(len(names) + 1):
         for subset in itertools.combinations(names, size):
-            parts = [comps[c] for c in subset if comps[c].dim > 0]
             degenerate = any(comps[c].dim == 0 for c in subset)
-            edge = direct_sum(*parts) if parts else zero_subspace(group.dim)
+            edge = cat.edge_from_components(group, subset, comps)
             rep = is_basic_edge(edge, seed=seed)
             if not rep.basic or rep.indeterminate:
                 raise ClassificationError(
@@ -100,6 +97,7 @@ def enumerate_basic_edges(group: st.Group, *, build_cones: bool = True,
 def invariance_residuals(edge: SymSubspace, sampler, samples: int, seed: int
                          ) -> np.ndarray:
     """Worst conjugation residual per sampled group element."""
+    samples = _positive_int("samples", samples)
     rng = as_rng(seed)
     if edge.dim == 0:
         return np.zeros(samples)
@@ -124,6 +122,7 @@ EXPECTED_COUNTS = {"on": 2, "un": 4, "spn_sp1": 4, "spn_s1": 16}
 def reproduce_catalog(group: st.Group, *, samples: int = 100, seed: int = 0
                       ) -> dict:
     """Catalog for one group with invariance verdicts per entry."""
+    samples = _positive_int("samples", samples)
     entries = enumerate_basic_edges(group, build_cones=False, seed=seed)
     if len(entries) != EXPECTED_COUNTS[group.kind]:
         raise ClassificationError(
@@ -131,9 +130,8 @@ def reproduce_catalog(group: st.Group, *, samples: int = 100, seed: int = 0
             f"{EXPECTED_COUNTS[group.kind]}")
     # the quaternionic table is enumerated over the plain quaternionic
     # unitary group; its finest components are not circle-invariant
-    own_sampler_key = {"on": ("on",), "un": ("un", "std"),
-                       "spn_sp1": ("spn_sp1",), "spn_s1": ("spn",)}[group.kind]
-    own = element_sampler(own_sampler_key, group.dim)
+    own = element_sampler(("spn",) if group.kind == "spn_s1" else (group.kind,),
+                          group.dim)
     report = {"group": group.kind, "ambient": group.dim, "entries": []}
     failures = []
     for k, entry in enumerate(entries):
@@ -176,12 +174,10 @@ def full_classification(n_quaternionic: int = 2, n_low: int = 3, *,
     Low-rank degeneracies (quaternionic n=1, complex n=1) are flagged in
     the per-entry records rather than silently merged.
     """
-    groups = [
-        st.Group("on", n_low),
-        st.Group("un", 2 * n_low),
-        st.Group("spn_sp1", 4 * n_quaternionic),
-        st.Group("spn_s1", 4 * n_quaternionic),
-    ]
+    samples = _positive_int("samples", samples)
+    groups = [st.Group(kind, count * st.coordinate_width(st.GROUP_KINDS[kind][0]))
+              for kind, count in (("on", n_low), ("un", n_low),
+                                  ("spn_sp1", n_quaternionic), ("spn_s1", n_quaternionic))]
     out = {"samples": samples, "tables": []}
     for k, g in enumerate(groups):
         out["tables"].append(reproduce_catalog(g, samples=samples, seed=seed + 101 * k))

@@ -24,8 +24,6 @@ from . import structures as st
 from .dirichlet import read_grid_csv
 from .symspace import frob_norm
 
-AMBIENT_FACTOR = {"on": 1, "un": 2, "spn": 4, "spn_sp1": 4, "spn_s1": 4}
-
 
 # ----------------------------------------------------------------------
 # helpers
@@ -272,7 +270,7 @@ def cmd_check_cone(args) -> int:
 
 def cmd_classify(args) -> int:
     kind = args.group.replace("-", "_")
-    ambient = args.n * AMBIENT_FACTOR[kind]
+    ambient = args.n * st.coordinate_width(st.GROUP_KINDS[kind][0])
     if args.dry_run:
         print(f"classify: group {kind} ambient R^{ambient}")
         return 0
@@ -391,6 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="cone membership oracles, classification and grid solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def kind_choices(kinds):  # group kinds as flag values, spn_s1 as spn-s1
+        return [k.replace("_", "-") for k in kinds]
+
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="machine-readable output path")
@@ -405,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("decompose", help="split a matrix into invariant components")
-    p.add_argument("--group", required=True,
-                   choices=["on", "un", "spn", "spn-sp1", "spn-s1"])
+    p.add_argument("--group", required=True, choices=kind_choices(st.GROUP_KINDS))
     p.add_argument("--matrix", required=True, help="matrix file")
     common(p)
     p.set_defaults(func=cmd_decompose)
@@ -419,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_cone)
 
     p = sub.add_parser("classify", help="enumerate invariant basic edges")
-    p.add_argument("--group", required=True,
-                   choices=["on", "un", "spn-sp1", "spn-s1"])
+    p.add_argument("--group", required=True, choices=kind_choices(cl.EXPECTED_COUNTS))
     p.add_argument("--n", type=int, default=2,
                    help="coordinate count (real/complex/quaternionic)")
     p.add_argument("--samples", type=positive_int, default=100)

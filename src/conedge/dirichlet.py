@@ -582,9 +582,8 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     linear = lin_w is not None and not use_bisection
     slope = cone.id_shift_slope
     # the solver's Hessian stacks are symmetric and finite by construction,
-    # so they skip margin_batch's input check unless a cone overrides it
-    margins = (cone.margin_batch if type(cone).margin_batch is not ConeHandle.margin_batch
-               else lambda stack: cone._margins_and_witnesses(stack)[0])
+    # so they go to the margin kernel without margin_batch's input check
+    margins = lambda stack: cone._margins_and_witnesses(stack)[0]
     eye = np.eye(dom.n)
     tol_s = 0.1 * tol * h2        # bisection resolution of the center shift
     history = []
@@ -866,6 +865,7 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
     the mixed-derivative stencil is not monotone, so those runs are held
     to the scheme's own consistency order rather than solver tolerance.
     """
+    sample_nodes = _positive_int("sample_nodes", sample_nodes)
     solver_kwargs = dict(solver_kwargs or {})
     field_sol, info = perron_solve(cone, dom, phi, **solver_kwargs)
     rng = as_rng(seed)

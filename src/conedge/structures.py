@@ -7,19 +7,23 @@ Conventions (fixed once, used everywhere):
     equals applying K (as matrices, J @ I == K under column action).
 
 The module provides the invariant decompositions of Sym2(R^N) under the
-four compact groups handled here, their closed-form projectors, samplers
+five group kinds handled here, their closed-form projectors, samplers
 for the associated plane families and group elements, the canonical form
 of matrices commuting with I and anti-commuting with J, K, and the
 determinant-type operator values built from grouped eigenvalues.
 
 A structure label, "c" (complex) or "i", "j", "k" (quaternionic), names a
-matrix `structure(n, label)`.  Every structure projection is one row of the
-character table `CHARACTERS`, (labels, c, signs) for the part
-(c A + s_1 M_1 A M_1 + ...)/(1 + #M), evaluated by `character`: the public
-projectors, the group components (`_COMPONENTS`), the determinant parts,
-the plane families' Lie algebra projector and the catalog's closed forms.
-Each plane family is one `_PLANE_FAMILIES` row, which its validation,
-dimension, sampler and relations all read.
+matrix `structure(n, label)`.  Each group kind is one `GROUP_KINDS` row:
+the structures it commutes with and its irreducible components.  The
+labels fix the real dimension of a coordinate (`coordinate_width`), which
+the group's and the plane families' validation, the determinant's
+eigenvalue multiplicity and the CLI's ambient dimension all read.  Every
+structure projection is one row of the character table `CHARACTERS`,
+(labels, c, signs) for the part (c A + s_1 M_1 A M_1 + ...)/(1 + #M),
+evaluated by `character`: the public projectors, the group components,
+the determinant parts, the plane families' Lie algebra projector and the
+catalog's closed forms.  Each plane family is one `_PLANE_FAMILIES` row,
+which its validation, dimension, sampler and relations all read.
 
 Every sampler rests on one structured frame builder, `orthonormal_rows`:
 vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
@@ -49,7 +53,25 @@ from .symspace import (
     standard_basis,
 )
 
-GROUP_KINDS = ("on", "un", "spn", "spn_sp1", "spn_s1")
+_IJK = ("i", "j", "k")  # quaternionic structure labels
+
+# kind -> (structures the group commutes with, irreducible components of Sym2
+# after "id"), each component named by its character row, with a trailing 0
+# for the traceless part; spn and spn_s1 share the plain quaternionic split.
+GROUP_KINDS = {
+    "on": ((), ("sym0",)),
+    "un": (("c",), ("c_sym0", "c_skew")),
+    "spn": (_IJK, ("h_sym0", "e_i", "e_j", "e_k")),
+    "spn_sp1": (_IJK, ("h_sym0", "h_skew3")),
+    "spn_s1": (_IJK, ("h_sym0", "e_i", "e_j", "e_k")),
+}
+
+
+def coordinate_width(labels) -> int:
+    """Real dimension of one coordinate over the structures `labels`: 4 with
+    a quaternionic one, 2 with the complex one alone, 1 with none."""
+    return max((4 if s in _IJK else 2 for s in labels), default=1)
+
 
 STRUCT_TOL = 1e-12
 FRAME_TOL = 1e-10
@@ -69,10 +91,9 @@ class Group:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if not isinstance(self.dim, numbers.Integral):
             raise ValueError(f"ambient dimension must be an integer, got {self.dim!r}")
-        if self.kind == "un" and self.dim % 2:
-            raise ValueError("un needs even ambient dimension")
-        if self.kind in ("spn", "spn_sp1", "spn_s1") and self.dim % 4:
-            raise ValueError(f"{self.kind} needs ambient dimension divisible by 4")
+        width = coordinate_width(GROUP_KINDS[self.kind][0])
+        if self.dim % width:
+            raise ValueError(f"{self.kind} needs ambient dimension divisible by {width}")
         if self.dim < 1:
             raise ValueError("ambient dimension must be positive")
 
@@ -126,7 +147,6 @@ _BLOCK_J = np.array(
 _BLOCK_K = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float
 )
-_IJK = ("i", "j", "k")  # quaternionic structure labels
 
 
 @functools.lru_cache(maxsize=64)
@@ -191,7 +211,7 @@ def character(a: np.ndarray, row: tuple, mats) -> np.ndarray:
     out = a if coef == 1 else coef * a
     for sign, m in zip(signs, mats):
         out = out + m @ a @ m if sign > 0 else out - m @ a @ m
-    return out / (1 + len(signs))
+    return out / (1 + len(signs)) if signs else out
 
 
 def character_map(n: int, row: tuple):
@@ -233,45 +253,9 @@ def e_structure_part(a: np.ndarray, trip: QuaternionTriple, which: str) -> np.nd
     return character(a, CHARACTERS[f"e_{which}"], (trip.i, trip.j, trip.k))
 
 
-def verify_e_structure_projectors(n: int, trials: int = 20, seed: int = 0) -> float:
-    """Sanity gate for the derived projectors; returns the worst residual.
-
-    Checks idempotence, mutual annihilation and that the three maps sum to
-    quat_skew_part on random symmetric matrices.
-    """
-    trip = quaternion_triple(n)
-    rng = as_rng(seed)
-    worst = 0.0
-    labels = ("i", "j", "k")
-    for _ in range(trials):
-        g = rng.normal(size=(4 * n, 4 * n))
-        a = 0.5 * (g + g.T)
-        parts = {w: e_structure_part(a, trip, w) for w in labels}
-        s = sum(parts.values())
-        worst = max(worst, np.abs(s - quat_skew_part(a, trip)).max())
-        for w in labels:
-            worst = max(worst, np.abs(e_structure_part(parts[w], trip, w) - parts[w]).max())
-            for w2 in labels:
-                if w2 != w:
-                    worst = max(worst, np.abs(e_structure_part(parts[w], trip, w2)).max())
-    return float(worst)
-
-
 # ----------------------------------------------------------------------
 # invariant decompositions
 # ----------------------------------------------------------------------
-
-# Irreducible components after "id" by group kind: each is named by its
-# character row, with a trailing 0 for the row's traceless part.  spn and
-# spn_s1 share the finest (plain quaternionic) splitting.
-_COMPONENTS = {
-    "on": ("sym0",),
-    "un": ("c_sym0", "c_skew"),
-    "spn_sp1": ("h_sym0", "h_skew3"),
-    "spn": ("h_sym0", "e_i", "e_j", "e_k"),
-    "spn_s1": ("h_sym0", "e_i", "e_j", "e_k"),
-}
-
 
 def _project(n: int, component: str, a: np.ndarray) -> np.ndarray:
     """The named component of a matrix: "id" is the trace part, any other
@@ -283,7 +267,7 @@ def _project(n: int, component: str, a: np.ndarray) -> np.ndarray:
 
 
 def component_names(group: Group) -> list[str]:
-    return ["id", *_COMPONENTS[group.kind]]
+    return ["id", *GROUP_KINDS[group.kind][1]]
 
 
 def group_project(group: Group, component: str, a: np.ndarray) -> np.ndarray:
@@ -368,7 +352,7 @@ class PlaneFamily:
         if self.tag == "grass":
             if not self.p or not 1 <= self.p <= self.ambient:
                 raise ValueError("grass needs a plane dimension 1..ambient")
-        modulus = max((4 if s in _IJK else 2 for s in self.seeds), default=1)
+        modulus = coordinate_width(self.seeds)
         if self.ambient % modulus:
             raise ValueError(f"{self.tag} needs ambient dimension divisible by {modulus}")
 
@@ -665,8 +649,8 @@ def canonical_form_ei(a: np.ndarray, trip: QuaternionTriple | None = None) -> Ca
 # determinant-type operator values
 # ----------------------------------------------------------------------
 
-# group kind -> (character part, eigenvalue multiplicity) of its determinant
-_DETERMINANT_PARTS = {"on": ("sym", 1), "un": ("c_sym", 2), "spn_sp1": ("h_sym", 4)}
+# the group kinds with a determinant (real, complex, quaternionic)
+_DETERMINANT_KINDS = ("on", "un", "spn_sp1")
 
 
 def _grouped_eigenvalues(a: np.ndarray, multiplicity: int, scale: float) -> np.ndarray:
@@ -684,12 +668,12 @@ def _grouped_eigenvalues(a: np.ndarray, multiplicity: int, scale: float) -> np.n
 
 
 def monge_ampere_value(group: Group, a: np.ndarray) -> float:
-    """Product of grouped eigenvalues of the structure-compatible part, the
-    commutant of the group's structures."""
+    """Product of grouped eigenvalues (one per coordinate) of the commutant of
+    the group's structures, their all-minus character row."""
     if a.shape[0] != group.dim:
         raise ValueError("dimension mismatch")
-    if group.kind not in _DETERMINANT_PARTS:
+    if group.kind not in _DETERMINANT_KINDS:
         raise ValueError(f"no determinant operator for group {group.kind}")
-    part, multiplicity = _DETERMINANT_PARTS[group.kind]
-    sym = character_map(group.dim, CHARACTERS[part])(a)
-    return float(np.prod(_grouped_eigenvalues(sym, multiplicity, frob_norm(a))))
+    labels, _ = GROUP_KINDS[group.kind]
+    sym = character_map(group.dim, (labels, 1, (-1,) * len(labels)))(a)
+    return float(np.prod(_grouped_eigenvalues(sym, coordinate_width(labels), frob_norm(a))))

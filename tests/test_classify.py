@@ -101,6 +101,49 @@ class TestInvariance:
             assert np.abs(g @ trip.j - trip.j @ g).max() <= 1e-9
             assert np.abs(g.T @ g - np.eye(8)).max() <= 1e-10
 
+    @pytest.mark.parametrize("key, label", [
+        (("on",), "orthogonal"), (("un",), "unitary"), (("un", "std"), "unitary"),
+        (("un", "j"), "unitary[j]"), (("spn",), "quaternionic"),
+        (("spn_sp1",), "quaternionic-enhanced"), (("spn_s1", "k"), "quaternionic-circle[k]")])
+    def test_sampler_label(self, key, label):
+        assert cl.sampler_label(key) == label
+
+    def test_std_direction_is_the_standard_sampler(self):
+        assert cl.element_sampler(("un", "std"), 4) is cl.element_sampler(("un",), 4)
+
+
+BAD_SAMPLES = [0, -3, 2.5, True]
+
+
+class TestBadSamples:
+    """A bad sample count is refused where it enters, before any work."""
+
+    EDGE = st.irreducible_components(st.Group("on", 3))["sym0"]
+
+    @pytest.mark.parametrize("samples", BAD_SAMPLES)
+    def test_invariance_residuals(self, samples):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            cl.invariance_residuals(self.EDGE, cl.element_sampler(("on",), 3), samples, 0)
+
+    @pytest.mark.parametrize("samples", BAD_SAMPLES)
+    def test_invariance_check(self, samples):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            cl.invariance_check(self.EDGE, cl.element_sampler(("on",), 3), samples=samples)
+
+    @pytest.mark.parametrize("samples", BAD_SAMPLES)
+    def test_reproduce_catalog(self, samples):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            cl.reproduce_catalog(st.Group("on", 3), samples=samples)
+
+    @pytest.mark.parametrize("samples", BAD_SAMPLES)
+    def test_full_classification(self, samples):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            cl.full_classification(1, 2, samples=samples)
+
+    def test_numpy_integer_count(self):
+        sampler = cl.element_sampler(("on",), 3)
+        assert cl.invariance_residuals(self.EDGE, sampler, np.int64(3), 0).shape == (3,)
+
 
 class TestReproduceTables:
     def test_full_run(self):

@@ -72,6 +72,16 @@ class TestEdgeConeMembership:
         w = verdict.witness
         assert abs(abs(w[0, 1]) - 1.0) < 1e-6
 
+    def test_geometric_lines_equal_psd(self):
+        # lines in R^2: the geometric margin is min e'Ae = lambda_min, P's
+        # closed form
+        lines = cn.GeometricCone(st.PlaneFamily("grass", 2, 1))
+        psd = cat.build_cone("P", 2)
+        g = np.random.default_rng(7).normal(size=(200, 2, 2))
+        stack = 3.0 * (g + g.mT)
+        gap = np.abs(lines.margin_batch(stack) - psd.margin_batch(stack))
+        assert (gap <= 1e-13 * (1.0 + np.linalg.norm(stack, axis=(1, 2)))).all()
+
     def test_halfspace_membership(self):
         hs = cn.HalfspaceCone(np.eye(2))
         assert hs.contains(np.diag([3.0, -1.0])).verdict is cn.Verdict.INTERIOR

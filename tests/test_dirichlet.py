@@ -456,8 +456,8 @@ class TestNodeUpdate:
             """A broken oracle: the margin grows under A -> A - s Id."""
             n = 2
 
-            def margin_batch(self, a_stack):
-                return -np.trace(a_stack, axis1=1, axis2=2)
+            def _margins_and_witnesses(self, a_stack):
+                return -np.trace(a_stack, axis1=1, axis2=2), None, None
 
         dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 1 / 4)
         with pytest.raises(RuntimeError, match="bracket failure"):
@@ -885,6 +885,13 @@ class TestEnvelope:
                 "phi": lambda p: p[:, 0], "x": np.zeros(2), **change}
         with pytest.raises(ValueError, match=match):
             dh.edge_envelope(**args)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_envelope_report_refuses_bad_node_count(self, count):
+        dom = dh.GridDomain.box([-1.0, -1.0], [1.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match="sample_nodes must be a positive integer"):
+            dh.envelope_report(cat.build_cone("P", 2), dom, lambda p: p[:, 0],
+                               sample_nodes=count)
 
     def test_envelope_report_psd_maxaff(self):
         # kinked data: both directions of the gap close at grid resolution

@@ -44,6 +44,21 @@ class TestQuaternionTriple:
         with pytest.raises(ValueError):
             st.Group("on", 2.5)
 
+    def test_one_width_rule(self):
+        # a kind's coordinate width comes from its structure labels; Group
+        # and PlaneFamily refuse an ambient dimension off the same rule
+        widths = {k: st.coordinate_width(labels) for k, (labels, _) in st.GROUP_KINDS.items()}
+        assert widths == {"on": 1, "un": 2, "spn": 4, "spn_sp1": 4, "spn_s1": 4}
+        for kind, width in widths.items():
+            assert st.Group(kind, 2 * width).dim == 2 * width
+            for dim in range(1, 8):
+                if dim % width:
+                    with pytest.raises(ValueError, match=f"divisible by {width}"):
+                        st.Group(kind, dim)
+        for tag, ambient, width in (("lag", 5, 2), ("cp_j", 6, 4), ("hlag", 6, 4)):
+            with pytest.raises(ValueError, match=f"divisible by {width}"):
+                st.PlaneFamily(tag, ambient)
+
     def test_cached_read_only(self):
         for n in (1, 2, 3):
             trip = st.quaternion_triple(n)
@@ -150,7 +165,22 @@ class TestComponents:
             assert np.abs(total - a).max() <= 1e-12 * (1 + np.abs(a).max())
 
     def test_derived_projector_gate(self):
-        assert st.verify_e_structure_projectors(2, trials=50, seed=1) <= 1e-10
+        # the three e_* projectors sum to quat_skew_part, are idempotent and
+        # annihilate each other, on random symmetric matrices
+        trip = st.quaternion_triple(2)
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(50):
+            g = rng.normal(size=(8, 8))
+            a = 0.5 * (g + g.T)
+            parts = {w: st.e_structure_part(a, trip, w) for w in "ijk"}
+            total = sum(parts.values())
+            worst = max(worst, np.abs(total - st.quat_skew_part(a, trip)).max())
+            for w, part in parts.items():
+                worst = max(worst, np.abs(st.e_structure_part(part, trip, w) - part).max())
+                for w2 in "ijk".replace(w, ""):
+                    worst = max(worst, np.abs(st.e_structure_part(part, trip, w2)).max())
+        assert worst <= 1e-10
 
 
 def literal_parts(a, n):
@@ -196,6 +226,10 @@ class TestCharacterTable:
             assert np.array_equal(st.quat_skew_part(a, trip), literal["h_skew3"])
             for s in "ijk":
                 assert np.array_equal(st.e_structure_part(a, trip, s), literal[f"e_{s}"])
+
+    def test_identity_row_is_its_input(self, rng):
+        a = ss.random_symmetric(4, rng)
+        assert st.character(a, st.CHARACTERS["sym"], ()) is a
 
     def test_unknown_e_label(self):
         with pytest.raises(ValueError):
