@@ -116,7 +116,9 @@ def invariance_check(edge: SymSubspace, sampler, samples: int = 100,
     return bool(resid.max() <= INVARIANCE_TOL)
 
 
-EXPECTED_COUNTS = {"on": 2, "un": 4, "spn_sp1": 4, "spn_s1": 16}
+# the classifiable kinds, each with one entry per subset of its components
+EXPECTED_COUNTS = {kind: 2 ** len(st.GROUP_KINDS[kind][1])
+                   for kind in ("on", "un", "spn_sp1", "spn_s1")}
 
 
 def reproduce_catalog(group: st.Group, *, samples: int = 100, seed: int = 0

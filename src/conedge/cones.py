@@ -530,15 +530,15 @@ class EdgeCone(ConeHandle):
         translates = np.einsum("mk,kij->mij", coords, self.edge.basis)
         return lower, translates, gap > np.array([default_tol(a) for a in a_stack])
 
-    def optimizer_margin(self, a: np.ndarray, warm_coords=None, quick: bool = False):
+    def optimizer_margin(self, a: np.ndarray, warm_coords=None):
         """Margin by the primal-dual translate kernel regardless of any fast
         form: translate_sdp on the stack of one, as (margin, translate,
         coords, stalled); stalled when the duality gap stayed above
         default_tol(a).
 
-        warm_coords and quick have no effect: the kernel always starts from
-        the same strictly feasible point and stops on the same gap.  They stay
-        because callers pass them (the benchmark's warm probe, criterion #08).
+        warm_coords has no effect: the kernel always starts from the same
+        strictly feasible point and stops on the same gap.  It stays because
+        the benchmark's warm probe passes it.
         """
         a = self._checked(a, "optimizer_margin")
         lower, coords, _, gap = translate_sdp(a[None], self.edge.basis)

@@ -84,8 +84,12 @@ def _check_point(name: str, value) -> np.ndarray:
     return point
 
 
+def _lattice_axes(origin: np.ndarray, h: float, shape: tuple) -> list[np.ndarray]:
+    return [origin[i] + h * np.arange(size) for i, size in enumerate(shape)]
+
+
 def _lattice_coords(origin: np.ndarray, h: float, shape: tuple) -> np.ndarray:
-    axes = [origin[i] + h * np.arange(size) for i, size in enumerate(shape)]
+    axes = _lattice_axes(origin, h, shape)
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
@@ -923,13 +927,14 @@ def envelope_report(cone: ConeHandle, dom: GridDomain, phi, *,
 def write_grid_csv(path, field_sol: GridField, provenance: dict | None = None):
     """`# key = value` header lines (the provenance, then the domain keys
     read_grid_csv needs), then one row per interior or boundary node, in
-    C order; numbers are written as Python float reprs."""
+    C order; numbers are Python float reprs, each axis's coordinates once."""
     dom = field_sol.domain
     nodes = np.flatnonzero(dom.interior | dom.boundary)
-    pts = dom.coords().reshape(-1, dom.n)[nodes]
     vals = np.asarray(field_sol.values, dtype=float).ravel()[nodes]
     masks = np.where(dom.interior.ravel()[nodes], "interior", "boundary")
-    columns = [map(repr, col) for col in pts.T.tolist()]
+    axes = _lattice_axes(dom.origin, dom.h, dom.shape)
+    columns = [np.array(list(map(repr, axis.tolist())), dtype=object)[index].tolist()
+               for axis, index in zip(axes, np.unravel_index(nodes, dom.shape))]
     columns += [map(repr, vals.tolist()), masks.tolist()]
     header = {**(provenance or {}),
               "kind": dom.kind, "h": dom.h,

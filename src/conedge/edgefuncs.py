@@ -32,11 +32,21 @@ class EdgeQuadratic:
     curvature: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
+        """h at a point (n,) or a stack (p, n): c + sum_i x_i y_i with
+        y = b + B x / 2, by elementwise products and sums over the stack, so
+        a point's value does not depend on the stack it is in."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        pts = x[None, :] if single else x
-        vals = (self.c + pts @ self.b
-                + 0.5 * np.einsum("pi,pi->p", pts @ self.curvature, pts))
+        cols = np.ascontiguousarray(np.atleast_2d(x).T)  # (n, p)
+        half = 0.5 * self.curvature
+        y = half[:, :1] * cols[0]
+        y += self.b[:, None]
+        for j in range(1, cols.shape[0]):
+            y += half[:, j:j + 1] * cols[j]
+        y *= cols
+        vals = y[0] + self.c
+        for row in y[1:]:
+            vals += row
         return float(vals[0]) if single else vals
 
 

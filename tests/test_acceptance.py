@@ -220,7 +220,7 @@ def test_08_dual_inclusion():
 
     def quick_margin(cone, a):
         if isinstance(cone, cn.EdgeCone) and cone._fast_margin is None:
-            m, *_ = cone.optimizer_margin(a, quick=True)
+            m, *_ = cone.optimizer_margin(a)
             return m
         return cone.margin(a)
 

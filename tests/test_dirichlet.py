@@ -1171,6 +1171,33 @@ class TestGridIO:
         self.row_by_row_csv(tmp_path / "ref.csv", u, prov)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    # sha256 of write_grid_csv's output for pinned_field below, computed
+    # with the writer that formatted every coordinate of every row
+    CSV_SHA = {
+        "disk": "1bbc7f91f342bd8a70850272528ae011491a39afcf332092b02861f8f94dee1b",
+        "offcenter_ball": "ecf8bce540194177eb1989944375c1b6002d9384391c4c13e4230e5ef0576f76",
+        "box3": "27d2249fde62c5d1924c46300248e7765dcf2f71f5be117b61cb51e7f0387911",
+        "interval": "61d08f200e5c33d988da396ce5607f917a72ccb914091e49d7633b11823afb11",
+    }
+
+    @staticmethod
+    def pinned_field(dom):
+        """Values from exact arithmetic on the node index, over 40 decades."""
+        k = np.arange(np.prod(dom.shape), dtype=float)
+        scale = np.array([1e-20, 1.0, 1e20])[np.arange(k.size) % 3]
+        return dh.GridField(dom, ((k - k.size / 2) / 7.0 * scale).reshape(dom.shape))
+
+    @pytest.mark.parametrize("name, dom", [
+        ("disk", dh.GridDomain.ball(1.0, 1 / 32)),
+        ("offcenter_ball", dh.GridDomain.ball(0.7, 0.1, center=[0.3, -0.2])),
+        ("box3", dh.GridDomain.box([-1.0] * 3, [1.0] * 3, 1 / 4)),
+        ("interval", dh.GridDomain.box([-1.0], [2.0], 1 / 8)),
+    ], ids=["disk", "offcenter_ball", "box3", "interval"])
+    def test_csv_bytes_are_pinned(self, tmp_path, name, dom):
+        path = tmp_path / "grid.csv"
+        dh.write_grid_csv(path, self.pinned_field(dom), {"cone": "laplace", "seed": 3})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CSV_SHA[name]
+
     @staticmethod
     def row_by_row_read(path):
         """The reader as one parsed line at a time: the reference.  It

@@ -92,6 +92,29 @@ class TestEdgeQuadratic:
             assert (np.abs(h(pts) - old) <= bound).all()
             assert h(pts[0]) == pytest.approx(old[0], rel=0, abs=bound[0])
 
+    @pytest.mark.parametrize("points", [0, 1, 7, 500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_points_and_explicit_sum(self, n, points):
+        # a stack's values are the one-point values bit for bit, and agree
+        # with c + sum b_i x_i + sum B_ij x_i x_j / 2 to rounding
+        rng = np.random.default_rng([n, points])
+        for scale in (1e-3, 1.0, 1e3):
+            raw = rng.normal(size=(n, n)) * scale
+            h = ef.EdgeQuadratic(float(rng.normal()), rng.normal(size=n), raw + raw.T)
+            pts = rng.normal(size=(points, n)) * rng.uniform(0.1, 10.0, size=(points, 1))
+            vals = h(pts)
+            assert vals.shape == (points,)
+            assert np.array([h(x) for x in pts]).tobytes() == vals.tobytes()
+            c, b, curv = h.c, h.b, h.curvature
+            for x, v in zip(pts.tolist(), vals):
+                explicit = (c + sum(b[i] * x[i] for i in range(n))
+                            + 0.5 * sum(curv[i, j] * x[i] * x[j]
+                                        for i in range(n) for j in range(n)))
+                norm = np.linalg.norm(x)
+                bound = 1e-13 * (1.0 + abs(c) + np.linalg.norm(b) * norm
+                                 + np.linalg.norm(curv) * norm ** 2)
+                assert abs(v - explicit) <= bound
+
 
 class TestSampling:
     def test_affine_family(self):
