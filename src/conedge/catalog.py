@@ -5,10 +5,13 @@ names of its edge, and a default ambient dimension.  A cone is fixed by
 its edge, so the closed-form margins are chosen by the edge, never by the
 entry's name.  `FAMILIES` is the one table of edge families: per group and
 component subset, the named family and its closed form, a kernel built on
-a structure label ("c", "i", "j", "k").  `closed_form_for` matches the
-components that survive at the ambient dimension (some vanish in low
-dimension, e.g. h_sym0 at one quaternionic dimension), so any entry or
-classification edge equal to an edge with a closed form gets it.  Each
+a `structures.CHARACTERS` row: lambda_min of a commuting part (P, P_C,
+P_H), the trace (laplace), or one nuclear-norm kernel, which serves both
+the lagrangian planes (P_LAG) and the planes complex for one quaternionic
+structure and lagrangian for the other two (GL_IJK).  `closed_form_for`
+matches the components that survive at the ambient dimension (some vanish
+in low dimension, e.g. h_sym0 at one quaternionic dimension), so any entry
+or classification edge equal to an edge with a closed form gets it.  Each
 closed form is one batch kernel over a stack of matrices (a single margin
 is the batch of one) and agrees with the primal-dual translate kernel
 (both compute the same pairing minimum over the polar base; the closed
@@ -112,34 +115,17 @@ def _lambda_min(part):
     return factory
 
 
-def _lagrangian(label):
-    """Minimum of tr(A|_W)/k over the planes W lagrangian for the structure
-    I named by `label`: the sum of the k smallest eigenvalues of the span
-    part of A, divided by k; equal to (tr A - nuclear norm of (A + IAI)/2) / n."""
+def _nuclear(part):
+    """(tr A - nuclear norm of part(A)) / n, part anti-commuting with a
+    structure (eigenvalues paired as +-mu): the least tr(A|_W)/(n/2) over
+    planes W lagrangian for s under "<s>_skew" (P_LAG; the mean of the n/2
+    smallest eigenvalues of part(A) + (tr A / n) Id), over planes complex
+    for s and lagrangian for the other two under "e_<s>" (GL_IJK[s])."""
     def factory(n):
-        skew = st.character_map(n, st.CHARACTERS[f"{label}_skew"])
-        k = n // 2
-        eye = np.eye(n)
+        proj = st.character_map(n, st.CHARACTERS[part])
 
         def kernel(a):
-            tr = np.trace(a, axis1=-2, axis2=-1) / n
-            span = skew(a) + tr[:, None, None] * eye
-            return np.linalg.eigvalsh(span)[:, :k].sum(axis=1) / k
-
-        return kernel
-
-    return factory
-
-
-def _gl_ijk(label):
-    """Minimum of tr(A|_W)/(2n) over planes complex for the structure named
-    by `label`, lagrangian for the other two: (tr A - nuclear norm of the
-    `label`-aligned part) / N."""
-    def factory(n):
-        aligned = st.character_map(n, st.CHARACTERS[f"e_{label}"])
-
-        def kernel(a):
-            lam = np.linalg.eigvalsh(aligned(a))
+            lam = np.linalg.eigvalsh(proj(a))
             return (np.trace(a, axis1=-2, axis2=-1) - np.abs(lam).sum(axis=1)) / n
 
         return kernel
@@ -170,7 +156,7 @@ FAMILIES = {
     },
     "un": {
         (): EdgeFamily("P", ("on",), False, _lambda_min("sym")),
-        ("c_sym0",): EdgeFamily("P_LAG", ("un", "std"), False, _lagrangian("c")),
+        ("c_sym0",): EdgeFamily("P_LAG", ("un", "std"), False, _nuclear("c_skew")),
         ("c_skew",): EdgeFamily("P_C", ("un", "std"), False, _lambda_min("c_sym")),
         ("c_sym0", "c_skew"): EdgeFamily("laplace", ("on",), False, _trace),
     },
@@ -186,12 +172,12 @@ FAMILIES = {
         ("e_i",): EdgeFamily("P_EI[i]", ("spn_s1", "i"), True, None),
         ("e_j",): EdgeFamily("P_EI[j]", ("spn_s1", "j"), True, None),
         ("e_k",): EdgeFamily("P_EI[k]", ("spn_s1", "k"), True, None),
-        ("h_sym0", "e_i"): EdgeFamily("P_LAG[i]", ("un", "i"), False, _lagrangian("i")),
-        ("h_sym0", "e_j"): EdgeFamily("P_LAG[j]", ("un", "j"), False, _lagrangian("j")),
-        ("h_sym0", "e_k"): EdgeFamily("P_LAG[k]", ("un", "k"), False, _lagrangian("k")),
-        ("h_sym0", "e_i", "e_j"): EdgeFamily("GL_IJK[k]", ("spn_s1", "k"), True, _gl_ijk("k")),
-        ("h_sym0", "e_i", "e_k"): EdgeFamily("GL_IJK[j]", ("spn_s1", "j"), True, _gl_ijk("j")),
-        ("h_sym0", "e_j", "e_k"): EdgeFamily("GL_IJK[i]", ("spn_s1", "i"), True, _gl_ijk("i")),
+        ("h_sym0", "e_i"): EdgeFamily("P_LAG[i]", ("un", "i"), False, _nuclear("i_skew")),
+        ("h_sym0", "e_j"): EdgeFamily("P_LAG[j]", ("un", "j"), False, _nuclear("j_skew")),
+        ("h_sym0", "e_k"): EdgeFamily("P_LAG[k]", ("un", "k"), False, _nuclear("k_skew")),
+        ("h_sym0", "e_i", "e_j"): EdgeFamily("GL_IJK[k]", ("spn_s1", "k"), True, _nuclear("e_k")),
+        ("h_sym0", "e_i", "e_k"): EdgeFamily("GL_IJK[j]", ("spn_s1", "j"), True, _nuclear("e_j")),
+        ("h_sym0", "e_j", "e_k"): EdgeFamily("GL_IJK[i]", ("spn_s1", "i"), True, _nuclear("e_i")),
         ("e_i", "e_j"): EdgeFamily("P_C[k]", ("un", "k"), False, _lambda_min("k_sym")),
         ("e_i", "e_k"): EdgeFamily("P_C[j]", ("un", "j"), False, _lambda_min("j_sym")),
         ("e_j", "e_k"): EdgeFamily("P_C[i]", ("un", "i"), False, _lambda_min("i_sym")),

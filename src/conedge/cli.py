@@ -122,8 +122,9 @@ def make_boundary_function(spec: str, n: int):
     """Named boundary data: affine, quadratic, max-of-affines, trig.
 
     Returns (callable on point arrays, quadratic extension or None).
-    The extension, when present, lets the solver report an exact error
-    whenever its Hessian lies on the cone boundary.
+    The extension, an `edgefuncs.EdgeQuadratic` when present, lets the
+    solver report an exact error whenever its Hessian lies on the cone
+    boundary.
     """
     name, _, param_str = spec.partition(":")
     params = [float(p) for p in param_str.split(",") if p] if param_str else []
@@ -133,17 +134,17 @@ def make_boundary_function(spec: str, n: int):
         coef = (coef + [0.0] * n)[:n]
         const = params[n] if len(params) > n else 0.1
         fn = lambda p: p @ np.array(coef) + const
-        return fn, ("quad", const, np.array(coef), np.zeros((n, n)))
+        return fn, ef.EdgeQuadratic(const, np.array(coef), np.zeros((n, n)))
     if name == "x2-y2":
         if n < 2:
             raise ValueError("x2-y2 needs dimension >= 2")
         fn = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
         curv = np.zeros((n, n))
         curv[0, 0], curv[1, 1] = 2.0, -2.0
-        return fn, ("quad", 0.0, np.zeros(n), curv)
+        return fn, ef.EdgeQuadratic(0.0, np.zeros(n), curv)
     if name == "abs2":
         fn = lambda p: (p ** 2).sum(axis=1)
-        return fn, ("quad", 0.0, np.zeros(n), 2.0 * np.eye(n))
+        return fn, ef.EdgeQuadratic(0.0, np.zeros(n), 2.0 * np.eye(n))
     if name == "maxaff":
         a = params[:n] if len(params) >= n else [1.0] * n
         b = params[n:2 * n] if len(params) >= 2 * n else [-1.0] * n
@@ -311,11 +312,9 @@ def cmd_solve(args) -> int:
     print(f"converged: {info.converged} after {info.sweeps} sweeps"
           f" (omega {info.omega:.4f}, max residual {info.max_residual:.3e})")
     if extension is not None:
-        _, const, lin, curv = extension
+        curv = extension.curvature
         if abs(cone.margin(curv)) <= 100 * cn.default_tol(curv):
-            pts = dom.coords().reshape(-1, dom.n)
-            exact = (const + pts @ lin
-                     + 0.5 * np.einsum("pi,ij,pj->p", pts, curv, pts))
+            exact = extension(dom.coords().reshape(-1, dom.n))
             err = np.abs(field_sol.values.ravel() - exact)[dom.interior.ravel()]
             print(f"sup error vs exact extension: {err.max():.6e}")
     prov = _provenance(args, {"cone": args.cone, "domain": args.domain,

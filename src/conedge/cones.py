@@ -984,11 +984,8 @@ def check_minimality(cone: ConeHandle, budget: int = 200, seed: int = 0) -> dict
     report = {"cone": getattr(cone, "name", None) or "anonymous", "n": n,
               "budget": budget, "checks": {}, "passed": True}
 
-    def log(key, failures, total, extra=None):
-        entry = {"failures": int(failures), "total": total}
-        if extra:
-            entry.update(extra)
-        report["checks"][key] = entry
+    def log(key, failures, total):
+        report["checks"][key] = {"failures": int(failures), "total": total}
         if failures:
             report["passed"] = False
 

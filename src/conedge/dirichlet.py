@@ -211,7 +211,8 @@ class GridDomain:
 
 
 def _dilate(mask: np.ndarray, n: int) -> np.ndarray:
-    """Nodes reachable from the mask by one stencil offset (incl. corners)."""
+    """Nodes within one lattice step of the mask along any of the 3^n - 1
+    directions; for n >= 3 it also marks nodes no stencil offset reads."""
     out = mask.copy()
     grown = mask
     for axis in range(n):

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import EdgeCone
+from .cones import EdgeCone, default_tol
 from .dirichlet import GridField, central_differences
 from .symspace import SymSubspace, as_rng, frob_norm, from_coords, subspace_project
 
-EDGE_RESID_RTOL = 1e-9
 CONSTRUCT_RTOL = 1e-6
 RING_SPACINGS = 3  # witness ring radius, in grid spacings
 
@@ -155,7 +154,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index) -> ViolationWitness |
     dom = u.domain
     grad, a = central_differences(u, index)
     idx = tuple(int(i) for i in np.atleast_1d(index))
-    tol = 1e-7 * (1.0 + frob_norm(a))
+    tol = default_tol(a)
     margin, e_translate, _, stalled = cone.optimizer_margin(-a)
     if margin <= tol:
         return None  # -A is not interior: the node passes the dual test

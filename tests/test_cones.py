@@ -252,6 +252,35 @@ class TestMarginBatchInputChecks:
             cone.margin_batch(np.array([np.eye(3)]))
 
 
+class TestWrongRankInput:
+    """A stack where one matrix is due, or one matrix where a stack is due,
+    is refused by the operation it enters, on every kind of handle."""
+
+    CONES = {
+        "closed_form": lambda: cat.build_cone("P_C", 4),
+        "optimizer": lambda: cat.build_cone("P_EI", 8),
+        "halfspace": lambda: cn.HalfspaceCone(np.eye(4)),
+        "geometric": lambda: cn.GeometricCone(st.PlaneFamily("grass", 4, 2), budget=20),
+    }
+
+    # every handle's single-matrix operations; optimizer_margin is EdgeCone's
+    CASES = [(kind, op) for kind in sorted(CONES)
+             for op in ("margin", "contains", "dual_contains", "optimizer_margin")
+             if op != "optimizer_margin" or kind in ("closed_form", "optimizer")]
+
+    @pytest.mark.parametrize("kind, op", CASES)
+    def test_stack_for_matrix(self, kind, op):
+        cone = self.CONES[kind]()
+        with pytest.raises(ValueError, match=rf"^{op}: .*shape \(1, {cone.n}, {cone.n}\)"):
+            getattr(cone, op)(np.eye(cone.n)[None])
+
+    @pytest.mark.parametrize("kind", sorted(CONES))
+    def test_matrix_for_stack(self, kind):
+        cone = self.CONES[kind]()
+        with pytest.raises(ValueError, match=rf"^margin_batch: .*shape \({cone.n}, {cone.n}\)"):
+            cone.margin_batch(np.eye(cone.n))
+
+
 class TestBatchOfOne:
     """margin_batch(stack)[i] is margin(stack[i]) on every kind of handle,
     and stack_verdicts gives contains's verdicts."""

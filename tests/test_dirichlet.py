@@ -610,7 +610,7 @@ class TestLexFronts:
     # field lies within 2.1e-15 of the node-by-node one, in the same 128 sweeps
     @pytest.mark.parametrize("name, n, dom, phi, kwargs, digest, sweeps", [
         ("P_EI", 4, dh.GridDomain.box(**BOX4), smooth4, {},
-         "9c7cf994aefd82d3109dad4b44c6623c9c563126e19cb472f1e040e440c583c6", 43),
+         "295c4554026ea5c8270db1b327fbde359545f1c6f90e1d0258f71b97d14230fe", 43),
         ("P", 2, dh.GridDomain.box([-1.0] * 2, [1.0] * 2, 1 / 8), smooth2, {},
          "9cc69ed8b41f35d24d598d3cbda60414ebde1dd31735b10556c424f5ee1886d1", 572),
         ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2, {},

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import conedge
 
-MAX_SETTABLE_VALUES = 74
+MAX_SETTABLE_VALUES = 73
 
 
 def settable_values() -> int:
