@@ -521,29 +521,31 @@ class EdgeCone(ConeHandle):
         return self.edge
 
     def _margins_and_witnesses(self, a_stack: np.ndarray):
-        """The closed form's margins when there is one; otherwise
-        translate_sdp's certified lower values, the translates attaining
-        them, and stalled where the duality gap stayed above default_tol."""
+        """The closed form's margins when there is one, else _translate's."""
         if self._fast_margin is not None:
             return self._fast_margin(a_stack), None, None
+        return self._translate(a_stack)[:3]
+
+    def _translate(self, a_stack: np.ndarray):
+        """translate_sdp's certified lower values, the translates attaining
+        them, stalled where the duality gap stayed above default_tol, and
+        the translates' edge coordinates."""
         lower, coords, _, gap = translate_sdp(a_stack, self.edge.basis)
         translates = np.einsum("mk,kij->mij", coords, self.edge.basis)
-        return lower, translates, gap > np.array([default_tol(a) for a in a_stack])
+        return lower, translates, gap > np.array([default_tol(a) for a in a_stack]), coords
 
     def optimizer_margin(self, a: np.ndarray, warm_coords=None):
         """Margin by the primal-dual translate kernel regardless of any fast
-        form: translate_sdp on the stack of one, as (margin, translate,
-        coords, stalled); stalled when the duality gap stayed above
-        default_tol(a).
+        form: _translate on the stack of one, as (margin, translate, coords,
+        stalled); stalled when the duality gap stayed above default_tol(a).
 
         warm_coords has no effect: the kernel always starts from the same
         strictly feasible point and stops on the same gap.  It stays because
         the benchmark's warm probe passes it.
         """
-        a = self._checked(a, "optimizer_margin")
-        lower, coords, _, gap = translate_sdp(a[None], self.edge.basis)
-        return (float(lower[0]), from_coords(self.edge, coords[0]), coords[0],
-                bool(gap[0] > default_tol(a)))
+        lower, translates, stalled, coords = self._translate(
+            self._checked(a, "optimizer_margin")[None])
+        return float(lower[0]), translates[0], coords[0], bool(stalled[0])
 
 
 class HalfspaceCone(ConeHandle):

@@ -28,12 +28,13 @@ add to the diagonal), which errs towards omega >= omega_opt, where SOR
 still converges at rate omega - 1.  Nonlinear margins, W with
 off-diagonal entries and the bisection reference keep omega = 1.
 
-Every reader of the stencil (the node pencil, the linear operator, the
-ghost refresh, central_differences) indexes the columns of one offset
-table, _stencil_offsets.  Its domain-only half, each interior row's
-lattice index at every offset and a ball's ghost segments, is built once
-per domain on its geometry record (_stencil_geometry); a solve adds only
-the floored crossing fractions and the boundary data (_build_stencil).
+Every lattice neighbourhood (the node pencil, the linear operator and
+its column weights, the ghost refresh, central_differences, a ball's
+boundary mask) indexes one offset table, _stencil_offsets.  Its
+domain-only half, each interior row's lattice index at every offset and a
+ball's ghost segments, is built once per domain on its geometry record
+(_stencil_geometry); a solve adds only the floored crossing fractions and
+the boundary data (_build_stencil).
 
 Ball domains use cut cells: the boundary value is imposed at the first
 exterior node along each axis through a linear interpolation weight, so
@@ -211,20 +212,16 @@ class GridDomain:
 
 
 def _dilate(mask: np.ndarray, n: int) -> np.ndarray:
-    """Nodes within one lattice step of the mask along any of the 3^n - 1
-    directions; for n >= 3 it also marks nodes no stencil offset reads."""
+    """The mask and every node one stencil offset away from it, one shifted
+    OR per row of _stencil_offsets past the center.  In 1-d and 2-d those
+    are all 3^n - 1 lattice directions; from 3-d on a ball's boundary keeps
+    only the nodes that some interior row's stencil reads."""
+    def window(off):  # the nodes x with x - off on the lattice
+        return tuple(slice(max(o, 0), size + min(o, 0)) for o, size in zip(off, mask.shape))
+
     out = mask.copy()
-    grown = mask
-    for axis in range(n):
-        shifted = np.zeros_like(grown)
-        sl_fwd = [slice(None)] * n
-        sl_bwd = [slice(None)] * n
-        sl_fwd[axis] = slice(1, None)
-        sl_bwd[axis] = slice(None, -1)
-        shifted[tuple(sl_fwd)] |= grown[tuple(sl_bwd)]
-        shifted[tuple(sl_bwd)] |= grown[tuple(sl_fwd)]
-        grown = grown | shifted
-    out |= grown
+    for off in _stencil_offsets(n)[0][1:]:
+        out[window(off)] |= mask[window(-off)]
     return out
 
 
@@ -425,31 +422,24 @@ def _linear_operator(stencil: _Stencil, weight: np.ndarray):
     """Table (idx, coef, c) with sum_k coef[:, k] flat[idx[:, k]] + c = <H, W>
     at every interior row, H as _node_pencil builds it, over the stencil
     columns of nonzero weight in increasing lattice offset (the sum order).
-    Each axis ghost enters as the row's own extrapolation t + (phi - t) /
-    theta: a center term, the constant phi / theta and weight 0 on the
-    ghost; every other neighbour and every corner is read from the array."""
-    n = stencil.dom.n
-    h2 = stencil.dom.h * stencil.dom.h
-    offsets, pairs = _stencil_offsets(n)
-    coef = np.zeros(stencil.nbs.shape)      # the weight of each stencil value
-    const = np.zeros(stencil.flat_interior.size)
-    center = coef[:, 0]
+    Column k weighs <_stencil_hessians(e_k), W>, e_k the k-th unit row of
+    stencil values.  Each axis ghost enters as the row's own extrapolation
+    t + (phi - t) / theta: its weight w moves to the center as
+    w (1 - 1/theta) and to the constant as w phi / theta, +e_i then -e_i
+    for each axis; every other node is read from the array."""
+    n, (rows, k) = stencil.dom.n, stencil.nbs.shape
+    offsets, _ = _stencil_offsets(n)
+    unit = _stencil_hessians(np.eye(k), n, stencil.dom.h * stencil.dom.h)
+    coef = np.tile(unit.reshape(k, -1) @ weight.ravel(), (rows, 1))
+    const = np.zeros(rows)
     for i in range(n):
-        w = weight[i, i] / h2
-        if w == 0.0:
-            continue
-        center -= 2.0 * w
         for s in (i, n + i):
             g = stencil.ghost[:, s]
-            center[g] += w * (1.0 - 1.0 / stencil.theta[g, s])
+            w = coef[g, 1 + s]
+            coef[g, 0] += w * (1.0 - 1.0 / stencil.theta[g, s])
             const[g] += w * stencil.phi[g, s] / stencil.theta[g, s]
-            coef[~g, 1 + s] = w
-    # the cross difference reads e_i + e_j and its negative with sign +,
-    # the other two corners with sign -
-    coef[:, 2 * n + 1:] = (np.repeat([1.0, 1.0, -1.0, -1.0], pairs[0].size)
-                           * np.tile(2.0 * weight[pairs] / (4.0 * h2), 4))
-    strides = np.cumprod((1, *stencil.dom.shape[:0:-1]))[::-1]
-    cols = np.argsort(offsets @ strides)
+            coef[g, 1 + s] = 0.0
+    cols = np.argsort(offsets @ np.cumprod((1, *stencil.dom.shape[:0:-1]))[::-1])
     cols = cols[coef[:, cols].any(axis=0)]
     return stencil.nbs[:, cols], coef[:, cols], const
 

@@ -167,7 +167,7 @@ def violation_witness(u: GridField, cone: EdgeCone, index) -> ViolationWitness |
     # absolute-coordinate coefficients with h(x0) = u0, Dh(x0) = grad
     b = grad - curv @ x0
     c = u0 - grad @ x0 + 0.5 * x0 @ curv @ x0
-    alpha = 0.5 * float(np.linalg.eigvalsh(-a - e_translate)[0])  # PD part
+    alpha = 0.5 * margin  # half the least eigenvalue of the PD part -A - e
     r = RING_SPACINGS * dom.h
     h_quad = EdgeQuadratic(c - alpha * r * r, b, subspace_project(cone.edge, curv))
 

@@ -38,6 +38,30 @@ class TestGridDomain:
                     nb[axis] += sign
                     assert nodes[tuple(nb)] or dom.interior[tuple(nb)]
 
+    @pytest.mark.parametrize("radius, h, center", [
+        (1.0, 1 / 8, [0.0]), (0.7, 0.15, [0.3]),
+        (1.0, 1 / 32, [0.0, 0.0]), (1.0, 1 / 4, [0.0, 0.0]), (0.7, 0.1, [0.3, -0.2]),
+        (1.0, 1 / 4, [0.0] * 3), (0.8, 0.3, [0.1, 0.2, -0.1]),
+        (1.0, 1 / 2, [0.0] * 4), (0.9, 0.35, [0.1, 0.0, 0.2, 0.3]),
+    ], ids=["ball1", "ball1-off", "disk32", "disk4", "disk-off", "ball3", "ball3-off",
+            "ball4", "ball4-off"])
+    def test_ball_boundary_is_what_the_stencil_reads(self, radius, h, center):
+        # the boundary is exactly the non-interior nodes some interior row's
+        # stencil reads; in 1-d and 2-d that is every one of the 3^n - 1
+        # lattice directions, from 3-d on it is fewer
+        dom = dh.GridDomain.ball(radius, h, center=center)
+        inner = np.argwhere(dom.interior)
+
+        def reached(offsets):
+            mask = np.zeros(dom.shape, dtype=bool)
+            for off in offsets:
+                mask[tuple((inner + off).T)] = True
+            return mask & ~dom.interior
+
+        assert np.array_equal(dom.boundary, reached(dh._stencil_offsets(dom.n)[0]))
+        every = reached(itertools.product((-1, 0, 1), repeat=dom.n))
+        assert np.array_equal(dom.boundary, every) == (dom.n <= 2)
+
     def test_boundary_positions_on_sphere(self):
         dom = dh.GridDomain.ball(1.0, 0.25)
         pts = dom.boundary_positions()
@@ -510,6 +534,59 @@ class TestLinearOperator:
             scale = 1.0 + np.abs(hess).reshape(rows.size, -1).max(axis=1)
             assert (np.abs(got - expect) <= 1e-12 * scale).all()
 
+    @staticmethod
+    def hand_written_table(st, weight):
+        """The full (M, K) weight table from second-difference coefficients
+        written out: center -2 sum_i W_ii / h^2, axis W_ii / h^2, corners
+        +W_ij / (2 h^2) on e_i + e_j and its negative and -W_ij / (2 h^2) on
+        the other two; then each axis ghost's weight w folded into the center
+        as w (1 - 1/theta) and into the constant as w phi / theta, +e_i and
+        then -e_i for each axis."""
+        n, h2 = st.dom.n, st.dom.h * st.dom.h
+        _, pairs = dh._stencil_offsets(n)
+        axis = np.diag(weight) / h2
+        corner = weight[pairs] / (2.0 * h2)
+        coef = np.tile(np.concatenate([[-2.0 * np.trace(weight) / h2], axis, axis,
+                                       corner, corner, -corner, -corner]),
+                       (st.nbs.shape[0], 1))
+        const = np.zeros(st.nbs.shape[0])
+        for i in range(n):
+            for s in (i, n + i):
+                g = st.ghost[:, s]
+                coef[g, 0] += axis[i] * (1.0 - 1.0 / st.theta[g, s])
+                const[g] += axis[i] * st.phi[g, s] / st.theta[g, s]
+                coef[g, 1 + s] = 0.0
+        return coef, const
+
+    @pytest.mark.parametrize("name, dom", [
+        (name, dom) for name in ("laplace", "halfspace") for dom in (
+            dh.GridDomain.box([-1.0, 0.0], [1.0, 1.0], 1 / 8),
+            dh.GridDomain.ball(1.0, 1 / 8, center=[0.1, -0.2]),
+            dh.GridDomain.box([-1.0, 0.0], [1.0, 1.0], 0.1),
+            dh.GridDomain.ball(1.0, 0.1),
+            dh.GridDomain.box([-0.9, 0.0], [0.9, 0.9], 0.3),
+            dh.GridDomain.ball(1.0, 0.3, center=[0.1, 0.2]))
+    ] + [("laplace", dh.GridDomain.ball(1.0, h, dim=3)) for h in (1 / 8, 0.3)],
+        ids=[f"{name}-{kind}-{h}" for name in ("laplace", "halfspace")
+             for h in ("0.125", "0.1", "0.3") for kind in ("box", "ball")]
+            + ["laplace3-ball-0.125", "laplace3-ball-0.3"])
+    def test_weights_equal_the_hand_written_coefficients(self, name, dom):
+        # bit for bit where h is dyadic; within rounding of 1/h^2 elsewhere
+        cone = linear_cone(name, dom.n)
+        st = dh._build_stencil(dom, lambda p: np.cos(2 * p[:, 0]) + p[:, -1])
+        idx, coef, const = dh._linear_operator(st, cone.linear_margin_weight)
+        ref, ref_const = self.hand_written_table(st, cone.linear_margin_weight)
+        offsets, _ = dh._stencil_offsets(dom.n)
+        cols = np.argsort(offsets @ np.cumprod((1, *dom.shape[:0:-1]))[::-1])
+        cols = cols[ref[:, cols].any(axis=0)]
+        ref = ref[:, cols]
+        assert np.array_equal(idx, st.nbs[:, cols])
+        if np.log2(dom.h).is_integer():
+            assert np.array_equal(coef, ref) and np.array_equal(const, ref_const)
+        else:
+            assert (np.abs(coef - ref) <= 1e-15 * (1.0 + np.abs(ref))).all()
+            assert (np.abs(const - ref_const) <= 1e-15 * (1.0 + np.abs(ref_const))).all()
+
     @pytest.mark.parametrize("ordering", ["lex", "redblack"])
     def test_rows_sum_their_terms_in_lattice_order(self, ordering):
         # three over-relaxed sweeps by hand, each row's table terms summed
@@ -623,7 +700,7 @@ class TestLexFronts:
          {"use_bisection": True, "tol": 1e-7},
          "ff03ba0b7cc44c84bca78897f108c1ef7fd7e9f5a6e9fabea931f7bc11b4bea0", 97),
         ("P", 3, dh.GridDomain.ball(1.0, 1 / 4, dim=3), smooth3, {"tol": 1e-7},
-         "9ecbd4e20bb0448babd785953917758604a805ae2c4420c8e444a6f0ce91d374", 96),
+         "d0dbf33a2964d283422e1fd55d1e78fb7d8b3fd59de222664f0e7e0fe44f358b", 96),
     ], ids=["P_EI4-box", "P2-box", "P2-disk", "laplace2-disk-sor", "P_C4-box",
             "P2-disk-bisection", "P3-ball"])
     def test_pinned_lex_solves(self, name, n, dom, phi, kwargs, digest, sweeps):
