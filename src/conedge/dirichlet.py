@@ -29,12 +29,14 @@ still converges at rate omega - 1.  Nonlinear margins, W with
 off-diagonal entries and the bisection reference keep omega = 1.
 
 Every lattice neighbourhood (the node pencil, the linear operator and
-its column weights, the ghost refresh, central_differences, a ball's
-boundary mask) indexes one offset table, _stencil_offsets.  Its
-domain-only half, each interior row's lattice index at every offset and a
-ball's ghost segments, is built once per domain on its geometry record
+its column weights, the ghost refresh, central_differences, the boundary
+mask) indexes one offset table, _stencil_offsets.  Its domain-only half,
+each interior row's lattice index at every offset and a ball's ghost
+segments, is built once per domain on its geometry record
 (_stencil_geometry); a solve adds only the floored crossing fractions and
-the boundary data (_build_stencil).
+the boundary data (_build_stencil).  Boxes and balls share one boundary
+rule (GridDomain.__post_init__): the non-interior nodes some interior
+row's stencil reads, which from 3-d on leaves out a box's corners.
 
 Ball domains use cut cells: the boundary value is imposed at the first
 exterior node along each axis through a linear interpolation weight, so
@@ -130,32 +132,30 @@ class GridDomain:
     origin: np.ndarray
     kind: str                     # "box" or "ball"
     interior: np.ndarray          # bool, full lattice shape
-    boundary: np.ndarray          # bool, full lattice shape
+    boundary: np.ndarray = field(init=False)  # bool, derived in __post_init__
     radius: float | None = None
     center: np.ndarray | None = None
     _geometry: _Geometry | None = field(default=None, init=False,
                                         repr=False, compare=False)
+
+    def __post_init__(self):
+        """The one boundary rule: the non-interior nodes some interior
+        row's stencil reads, on boxes and balls alike."""
+        object.__setattr__(self, "boundary", _dilate(self.interior, self.n) & ~self.interior)
 
     @staticmethod
     def box(lo, hi, h: float) -> "GridDomain":
         lo, hi = _check_point("lo", lo), _check_point("hi", hi)
         if hi.size != lo.size:
             raise ValueError(f"hi has {hi.size} coordinates, lo has {lo.size}")
-        n = lo.size
         _check_positive("h", h)
-        counts = []
-        for a, b in zip(lo, hi):
-            m = (b - a) / h
-            mi = int(round(m))
-            if abs(m - mi) > 1e-9 or mi < 2:
-                raise ValueError("box side must be a positive multiple of h")
-            counts.append(mi + 1)
-        shape = tuple(counts)
-        interior = np.zeros(shape, dtype=bool)
-        interior[tuple(slice(1, -1) for _ in range(n))] = True
-        boundary = np.ones(shape, dtype=bool)
-        boundary[tuple(slice(1, -1) for _ in range(n))] = False
-        return GridDomain(n, shape, float(h), lo, "box", interior, boundary)
+        steps = (hi - lo) / h
+        sides = np.round(steps).astype(int)
+        if (np.abs(steps - sides) > 1e-9).any() or (sides < 2).any():
+            raise ValueError("box side must be a positive multiple of h")
+        interior = np.zeros(tuple(sides + 1), dtype=bool)
+        interior[(slice(1, -1),) * lo.size] = True
+        return GridDomain(lo.size, interior.shape, float(h), lo, "box", interior)
 
     @staticmethod
     def ball(radius: float, h: float, center=None, dim: int | None = None) -> "GridDomain":
@@ -175,7 +175,6 @@ class GridDomain:
         inside = ((pts - center) ** 2).sum(axis=1) < radius**2
         inside = inside.reshape(shape)
         return GridDomain(n, shape, float(h), origin, "ball", inside,
-                          _dilate(inside, n) & ~inside,
                           radius=float(radius), center=center)
 
     @property
@@ -214,8 +213,8 @@ class GridDomain:
 def _dilate(mask: np.ndarray, n: int) -> np.ndarray:
     """The mask and every node one stencil offset away from it, one shifted
     OR per row of _stencil_offsets past the center.  In 1-d and 2-d those
-    are all 3^n - 1 lattice directions; from 3-d on a ball's boundary keeps
-    only the nodes that some interior row's stencil reads."""
+    are all 3^n - 1 lattice directions; from 3-d on they leave out the
+    nodes no stencil reads, a box's corners among them."""
     def window(off):  # the nodes x with x - off on the lattice
         return tuple(slice(max(o, 0), size + min(o, 0)) for o, size in zip(off, mask.shape))
 
@@ -238,11 +237,13 @@ class GridField:
 
 def boundary_values(dom: GridDomain, phi) -> np.ndarray:
     """Evaluate the boundary function at the boundary representatives."""
-    if callable(phi):
-        return np.asarray(phi(dom.boundary_positions()), dtype=float)
-    vals = np.asarray(phi, dtype=float)
-    if vals.shape[0] != int(dom.boundary.sum()):
-        raise ValueError("boundary value array length mismatch")
+    return np.asarray(phi(dom.boundary_positions()), dtype=float)
+
+
+def _check_finite_data(vals: np.ndarray) -> np.ndarray:
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise ValueError(f"phi gives {bad} non-finite boundary values")
     return vals
 
 
@@ -556,14 +557,12 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         raise ValueError(f"ordering must be 'lex' or 'redblack', got {ordering!r}")
     max_sweeps = _positive_int("max_sweeps", max_sweeps)
     history_every = _positive_int("history_every", history_every)
-    b_vals = boundary_values(dom, phi)
-    bad = int(np.count_nonzero(~np.isfinite(b_vals)))
-    if bad:
-        raise ValueError(f"phi gives {bad} non-finite boundary values")
+    b_vals = _check_finite_data(boundary_values(dom, phi))
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.abs(b_vals).max() if b_vals.size else 1.0))
     _check_positive("tol", tol)
     stencil = _build_stencil(dom, phi)
+    _check_finite_data(stencil.g_phi)       # the data at the cut-cell crossings
 
     vals = np.zeros(dom.shape)
     vals[dom.boundary] = b_vals
@@ -818,9 +817,7 @@ def edge_envelope(edge: SymSubspace, dom: GridDomain, phi, x, *,
         if vals.shape != pts.shape[:1]:
             raise ValueError(f"phi must give one value per boundary sample, "
                              f"got shape {vals.shape} for {pts.shape[0]} samples")
-    bad = int(np.count_nonzero(~np.isfinite(vals)))
-    if bad:
-        raise ValueError(f"phi gives {bad} non-finite boundary values")
+    _check_finite_data(vals)
     if m_bound is None:
         m_bound = 1e3 * (1.0 + float(np.abs(vals).max()))
 

@@ -11,6 +11,9 @@ from conedge import dirichlet as dh
 from conedge import symspace as ss
 
 
+BOX4 = dict(lo=[-1.0] * 4, hi=[1.0] * 4, h=0.5)
+
+
 def exact_field(dom, fn):
     pts = dom.coords().reshape(-1, dom.n)
     return np.asarray(fn(pts)).reshape(dom.shape)
@@ -61,6 +64,29 @@ class TestGridDomain:
         assert np.array_equal(dom.boundary, reached(dh._stencil_offsets(dom.n)[0]))
         every = reached(itertools.product((-1, 0, 1), repeat=dom.n))
         assert np.array_equal(dom.boundary, every) == (dom.n <= 2)
+
+    @pytest.mark.parametrize("box, count", [
+        (dict(lo=[0.0], hi=[1.0], h=1 / 8), 2),
+        (dict(lo=[-1.0, 0.0], hi=[1.0, 1.5], h=0.5), 14),
+        (dict(lo=[0.0, 0.0], hi=[1.0, 1.0], h=1 / 8), 32),
+        (dict(lo=[-1.0] * 3, hi=[1.0] * 3, h=0.5), 90),
+        (dict(lo=[0.0] * 3, hi=[1.0, 0.75, 1.25], h=1 / 4), 88),
+        (BOX4, 432),
+        (dict(lo=[-1.0] * 4, hi=[1.0] * 4, h=1 / 4), 3920),
+    ], ids=["box1", "box2", "square8", "cube", "box3", "box4", "box4-fine"])
+    def test_box_boundary_is_what_the_stencil_reads(self, box, count):
+        # the ball's rule on a box: the boundary is exactly the non-interior
+        # nodes some interior row's stencil reads.  In 1-d and 2-d that is
+        # the whole frame around the interior; from 3-d on it leaves out
+        # the nodes no stencil reads, the corners among them
+        dom = dh.GridDomain.box(**box)
+        inner = np.argwhere(dom.interior)
+        reached = np.zeros(dom.shape, dtype=bool)
+        for off in dh._stencil_offsets(dom.n)[0]:
+            reached[tuple((inner + off).T)] = True
+        assert np.array_equal(dom.boundary, reached & ~dom.interior)
+        assert dom.boundary.sum() == count
+        assert np.array_equal(dom.boundary, ~dom.interior) == (dom.n <= 2)
 
     def test_boundary_positions_on_sphere(self):
         dom = dh.GridDomain.ball(1.0, 0.25)
@@ -601,8 +627,9 @@ class TestLinearOperator:
         idx, coef, const = dh._linear_operator(st, cone.linear_margin_weight)
         den = st.pencil_d @ np.diag(cone.linear_margin_weight)
         b_vals = dh.boundary_values(dom, phi)
-        vals = np.full(dom.shape, b_vals.max())
+        vals = np.zeros(dom.shape)
         vals[dom.boundary] = b_vals
+        vals[dom.interior] = b_vals.max()
         flat = vals.ravel()
         groups = dh._row_groups(st, ordering)
         assert min(map(len, groups)) == (1 if ordering == "lex" else 1200)
@@ -638,9 +665,6 @@ def smooth3(p):
 
 def smooth4(p):
     return np.cos(p[:, 0]) * np.exp(0.5 * p[:, 1]) + p[:, 2] * p[:, 3]
-
-
-BOX4 = dict(lo=[-1.0] * 4, hi=[1.0] * 4, h=0.5)
 
 
 class TestLexFronts:
@@ -687,7 +711,7 @@ class TestLexFronts:
     # field lies within 2.1e-15 of the node-by-node one, in the same 128 sweeps
     @pytest.mark.parametrize("name, n, dom, phi, kwargs, digest, sweeps", [
         ("P_EI", 4, dh.GridDomain.box(**BOX4), smooth4, {},
-         "295c4554026ea5c8270db1b327fbde359545f1c6f90e1d0258f71b97d14230fe", 43),
+         "6894b267bee7d9a611234f5d7a389041eae63dd7fe865c9143757ddf8e705529", 43),
         ("P", 2, dh.GridDomain.box([-1.0] * 2, [1.0] * 2, 1 / 8), smooth2, {},
          "9cc69ed8b41f35d24d598d3cbda60414ebde1dd31735b10556c424f5ee1886d1", 572),
         ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2, {},
@@ -695,7 +719,7 @@ class TestLexFronts:
         ("laplace", 2, dh.GridDomain.ball(1.0, 1 / 16), smooth2, {},
          "f21d8634c2f719cf9740834f0233ea6a51fb0bf149d07537e40eb2b977c8711f", 128),
         ("P_C", 4, dh.GridDomain.box(**BOX4), smooth4, {},
-         "dae3117c557c6cb123edcd10a4316910e5a6eae8ad813cc8d721e4ad3d11fef8", 40),
+         "77d07c900ac728d02803273e5b165cd083a9439faad3e4ae327336726cfee396", 40),
         ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2,
          {"use_bisection": True, "tol": 1e-7},
          "ff03ba0b7cc44c84bca78897f108c1ef7fd7e9f5a6e9fabea931f7bc11b4bea0", 97),
@@ -717,13 +741,51 @@ class TestLexFronts:
         ("P", 2, dh.GridDomain.ball(1.0, 1 / 4), smooth2,
          "af8478163ae82dea9c314ab626eb818abc91628bddd8f041461a995b2e372c70", 126),
         ("P_C", 4, dh.GridDomain.box(**BOX4), smooth4,
-         "1cb551e331da0ae62ea53676c012c81a3e0b960764c205b2bdd2213b9703a8d5", 42),
+         "f085890e518f7aa05fb39d84a43886b6c7e395fc93c2106a3d436bec55127daf", 42),
     ], ids=["P2-disk", "P_C4-box"])
     def test_pinned_red_black_solves(self, name, n, dom, phi, digest, sweeps):
         u, info = dh.perron_solve(cat.build_cone(name, n), dom, phi,
                                   ordering="redblack", tol=1e-9)
         assert info.converged and info.sweeps == sweeps
         assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
+
+
+class TestBoxSolveProperties:
+    # the box solves whose digests TestLexFronts pins, held to tolerance
+    # instead of to the bit: affine data is reproduced (its Hessian, zero,
+    # lies on every cone's boundary), a constant shift of the data shifts
+    # the field by that constant, and lex agrees with red-black.  The
+    # bounds are multiples of tol; the largest seen over these seeds were
+    # 4.0, 6.7e-7 and 0.75 tol
+    TOL = 1e-9
+    AFFINE, SHIFT, ORDERINGS = 5.0, 1e-5, 2.0
+
+    @pytest.mark.parametrize("name, n, box, phi", [
+        ("P_EI", 4, BOX4, smooth4),
+        ("P_C", 4, BOX4, smooth4),
+        ("P", 3, dict(lo=[-1.0] * 3, hi=[1.0] * 3, h=0.5), smooth3),
+    ], ids=["P_EI4-box", "P_C4-box", "P3-cube"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_affine_shift_and_orderings(self, name, n, box, phi, seed):
+        cone, dom = cat.build_cone(name, n), dh.GridDomain.box(**box)
+        rng = np.random.default_rng(seed)
+        c0, b, c = rng.normal(), rng.normal(size=n), rng.uniform(-2.0, 2.0)
+        affine = lambda p: c0 + p @ b
+        inner = dom.interior
+
+        def solve(data, ordering):
+            u, info = dh.perron_solve(cone, dom, data, ordering=ordering, tol=self.TOL)
+            assert info.converged
+            return u.values[inner]
+
+        fields = {}
+        for ordering in ("lex", "redblack"):
+            u_aff = solve(affine, ordering)
+            assert np.abs(u_aff - affine(dom.coords()[inner])).max() <= self.AFFINE * self.TOL
+            u = fields[ordering] = solve(phi, ordering)
+            u_c = solve(lambda p: phi(p) + c, ordering)
+            assert np.abs(u_c - u - c).max() <= self.SHIFT * self.TOL
+        assert np.abs(fields["lex"] - fields["redblack"]).max() <= self.ORDERINGS * self.TOL
 
 
 def dense_jacobi_radius(dom, weights):
@@ -882,6 +944,24 @@ class TestSolverInput:
         phi = lambda p: np.where(p[:, 0] > 0.5, bad, p[:, 1])
         with pytest.raises(ValueError, match="phi"):
             dh.perron_solve(lap, dom, phi, ordering="redblack")
+
+    def test_non_finite_data_at_a_cut_cell_crossing(self):
+        # phi is NaN only near the floored crossing point farthest from
+        # every boundary position: the data the stencil reads there is
+        # checked like the boundary values
+        lap = cat.build_cone("laplace", 2)
+        dom = dh.GridDomain.ball(1.0, 1 / 4)
+        _, g_rows, g_cols, g_cross = dh._stencil_geometry(dom)
+        theta = np.clip(g_cross, dh.THETA_FLOOR, 1.0)
+        crossings = (dom.geometry.interior_pts[g_rows]
+                     + (theta * dom.h)[:, None] * dh._stencil_offsets(2)[0][g_cols])
+        gaps = np.linalg.norm(crossings[:, None] - dom.boundary_positions(), axis=-1).min(axis=1)
+        far = crossings[gaps.argmax()]
+        assert gaps.max() > 0.05
+        phi = lambda p: np.where(np.linalg.norm(p - far, axis=1) < 0.01, np.nan, p[:, 0])
+        assert np.isfinite(dh.boundary_values(dom, phi)).all()
+        with pytest.raises(ValueError, match="phi gives 1 non-finite boundary values"):
+            dh.perron_solve(lap, dom, phi, ordering="redblack", max_sweeps=50)
 
 
 class TestEnvelope:
@@ -1253,7 +1333,7 @@ class TestGridIO:
     CSV_SHA = {
         "disk": "1bbc7f91f342bd8a70850272528ae011491a39afcf332092b02861f8f94dee1b",
         "offcenter_ball": "ecf8bce540194177eb1989944375c1b6002d9384391c4c13e4230e5ef0576f76",
-        "box3": "27d2249fde62c5d1924c46300248e7765dcf2f71f5be117b61cb51e7f0387911",
+        "box3": "9c13fafcd1275f5a83cb954ba6f13ebf19afcbe47626b21fa44473191d062b25",
         "interval": "61d08f200e5c33d988da396ce5607f917a72ccb914091e49d7633b11823afb11",
     }
 
