@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,10 +58,18 @@ SUPPORT_ACCEPT = 1e-9
 SUPPORT_DEADBAND = 1e-6
 CHECK_TOL_SCALE = 10.0
 GEOMETRIC_STACK = 512     # matrices per pass of GeometricCone's stacked frame descents
+LBFGS_MAXITER, LBFGS_MEMORY, LBFGS_GTOL = 80, 8, 1e-13  # _lbfgs: iterations, pairs kept, stop
 
 
 def default_tol(a: np.ndarray) -> float:
     return MEMBERSHIP_RTOL * (1.0 + frob_norm(a))
+
+
+def _finite_nonneg(name: str, value) -> float:
+    """value as a float; ValueError naming `name` unless a finite number >= 0."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _positive_int(name: str, value) -> int:
@@ -246,8 +255,7 @@ def translate_sdp(a_stack: np.ndarray, gens: np.ndarray):
 # smoothed concave maximization of lambda_min over a trace slice
 # ----------------------------------------------------------------------
 
-def _lbfgs(fun_grad, x0: np.ndarray, *, maxiter: int = 80, memory: int = 8,
-           gtol: float = 1e-13) -> np.ndarray:
+def _lbfgs(fun_grad, x0: np.ndarray) -> np.ndarray:
     """Minimize a smooth function with a compact two-loop L-BFGS.
 
     Armijo backtracking line search; curvature pairs with tiny s.y are
@@ -256,12 +264,10 @@ def _lbfgs(fun_grad, x0: np.ndarray, *, maxiter: int = 80, memory: int = 8,
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_grad(x)
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho: list[float] = []
-    for _ in range(maxiter):
+    s_list, y_list, rho = (deque(maxlen=LBFGS_MEMORY) for _ in range(3))
+    for _ in range(LBFGS_MAXITER):
         gn = np.linalg.norm(g)
-        if gn < gtol:
+        if gn < LBFGS_GTOL:
             break
         # two-loop recursion
         q = g.copy()
@@ -300,10 +306,6 @@ def _lbfgs(fun_grad, x0: np.ndarray, *, maxiter: int = 80, memory: int = 8,
             s_list.append(s_vec)
             y_list.append(y_vec)
             rho.append(1.0 / sy)
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho.pop(0)
         if abs(f - f_new) < 1e-17 * (1.0 + abs(f)):
             x, f, g = x_new, f_new, g_new
             break
@@ -323,7 +325,7 @@ def _softmin_eig(m: np.ndarray, mu: float):
     return f, grad
 
 
-def _max_lambda_min(m0: np.ndarray, gens: np.ndarray, starts, mu_ladder, maxiter: int):
+def _max_lambda_min(m0: np.ndarray, gens: np.ndarray, starts, mu_ladder):
     """Maximize lambda_min(m0 + sum_k c_k gens_k) over coordinates c.
 
     Concave in c, so each start only safeguards the ascent.  Every start
@@ -343,7 +345,7 @@ def _max_lambda_min(m0: np.ndarray, gens: np.ndarray, starts, mu_ladder, maxiter
     for c0 in starts:
         c = np.asarray(c0, dtype=float)
         for mu in mu_ladder:
-            c = _lbfgs(lambda x: objective(x, mu), c, maxiter=maxiter)
+            c = _lbfgs(lambda x: objective(x, mu), c)
         val = float(np.linalg.eigvalsh(m0 + np.einsum("k,kij->ij", c, gens))[0])
         if val > best_val:
             best_val, best_c = val, c
@@ -352,7 +354,7 @@ def _max_lambda_min(m0: np.ndarray, gens: np.ndarray, starts, mu_ladder, maxiter
     return best_val, best_c, stalled
 
 
-def _slice_max_lambda_min(space: SymSubspace, *, starts: int = 20, seed: int = 0):
+def _slice_max_lambda_min(space: SymSubspace, *, starts: int, seed: int):
     """Maximize lambda_min(M) over {M in space : tr M = n}.
 
     The slice is affine and lambda_min concave, so this is a reliable
@@ -376,7 +378,7 @@ def _slice_max_lambda_min(space: SymSubspace, *, starts: int = 20, seed: int = 0
     for _ in range(starts - 1):
         y_starts.append(rng.normal(size=space.dim))
     val, y, _ = _max_lambda_min(m0, gens, y_starts,
-                                [mu * n for mu in (1e-1, 1e-3, 1e-5, 1e-8)], 80)
+                                [mu * n for mu in (1e-1, 1e-3, 1e-5, 1e-8)])
     return val, m0 + np.einsum("k,kij->ij", y, gens)
 
 
@@ -460,19 +462,21 @@ class ConeHandle:
         return a
 
     def contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
+        """Verdict on margin(a) at tol, a finite number >= 0 (else ValueError)
+        or None for default_tol(a)."""
         return self._membership(a, tol, 1.0)
 
     def dual_contains(self, a: np.ndarray, tol: float | None = None) -> Membership:
         """Membership in the dual cone: A is dual-inside iff -A is not
-        interior; the dual margin is minus the margin of -A."""
+        interior; the dual margin is minus the margin of -A; tol as in contains."""
         return self._membership(a, tol, -1.0)
 
     def _membership(self, a, tol, sign: float) -> Membership:
         """Verdict on sign * margin(sign * a) at tol (default_tol(a) if None);
         the witness and stall flag are those of sign * a."""
-        a = self._checked(a, "contains" if sign > 0 else "dual_contains")
-        if tol is None:
-            tol = default_tol(a)
+        op = "contains" if sign > 0 else "dual_contains"
+        a = self._checked(a, op)
+        tol = default_tol(a) if tol is None else _finite_nonneg(f"{op}: tol", tol)
         margins, witnesses, stalled = self._margins_and_witnesses(sign * a[None])
         m = sign * float(margins[0])
         verdict = (Verdict.INTERIOR if m > tol else
@@ -946,10 +950,12 @@ def sample_polar_element(cone: ConeHandle, rng) -> np.ndarray:
 def stack_verdicts(cone: ConeHandle, stack, scale: float):
     """contains's verdicts on a stack, from one margin_batch call.
 
-    Returns (signs, tols): tol = scale * default_tol of each matrix, and
-    sign +1 where its margin is above tol (interior), -1 where it is below
-    -tol (outside), 0 in the dead band between (boundary).
+    Returns (signs, tols): tol = scale * default_tol of each matrix, scale
+    a finite number >= 0 (else ValueError), and sign +1 where its margin is
+    above tol (interior), -1 where it is below -tol (outside), 0 in the
+    dead band between (boundary).
     """
+    _finite_nonneg("stack_verdicts: scale", scale)
     stack = np.asarray(stack, dtype=float).reshape(-1, cone.n, cone.n)
     margins = cone.margin_batch(stack)
     tols = scale * np.array([default_tol(a) for a in stack])

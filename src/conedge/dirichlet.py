@@ -525,14 +525,15 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
     (same fixed point within tol).  Interior nodes start at the largest
     boundary value.
 
-    Each node moves to the root of its margin along the node pencil (see
-    the module docstring): in closed form for linear margins and where d
-    is constant, else by bisection to tol h^2 / 10 inside the
-    identity-shift bracket; each row group's pencil table and bracket are
-    built once per solve.  A linear margin <A, W> reads its row margins
-    from one weight table precomputed from the stencil, with the same
-    iteration and omega.  For a margin <A, W> with diagonal W the sweeps
-    are over-relaxed with Young's optimal factor
+    One update step moves every row group to the root of its margin along
+    the node pencil (see the module docstring).  Each group's record is
+    built once per solve: its centers, where it reads its margins m0 (a
+    slice of one weight table precomputed from the stencil for a linear
+    margin <A, W>, else the group's pencil table) and its identity-shift
+    bracket.  A closed bracket, as for every linear row and every row of
+    constant d, gives the root h^2 m0 / den in one division; an open one
+    is bisected to tol h^2 / 10.  For a margin <A, W> with diagonal W
+    the sweeps are over-relaxed with Young's optimal factor
     omega = 2 / (1 + sqrt(1 - rho^2)), where rho is the closed-form Jacobi
     radius of the grid (exact on boxes, an upper bound on balls); every
     other margin runs plain Gauss-Seidel (omega = 1).
@@ -599,79 +600,70 @@ def perron_solve(cone: ConeHandle, dom: GridDomain, phi, *, tol: float | None = 
         den_lo = slope * stencil.pencil_d.max(axis=1)
         den_hi = slope * stencil.pencil_d.min(axis=1)
 
-    def pencil_shift(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Group k's margins and root shifts s of margin(H - s diag(d) / h^2)."""
-        table, group_lo, group_hi, closed = tables[k]
-        a0, d = _node_pencil(stencil, flat, table)
-        m0 = margins(a0)
-        if closed:
-            return m0, h2 * m0 / group_lo
-
-        def shifted(k, s):
-            return a0[k] - (s / h2)[:, None, None] * (d[k][:, :, None] * eye)
-
-        lo, hi = h2 * m0 / group_lo, h2 * m0 / group_hi
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        if use_bisection:
-            pad = np.maximum(hi - lo, h2)
-            lo, hi = lo - pad, hi + pad
-            every = np.arange(m0.size)
-            bad = int(np.count_nonzero((margins(shifted(every, lo)) < 0)
-                                       | (margins(shifted(every, hi)) > 0)))
-            if bad:
-                raise RuntimeError(f"bracket failure: the margin keeps its sign "
-                                   f"across the identity-shift bracket at {bad} nodes")
-        open_ = np.flatnonzero(hi - lo > tol_s)
-        while open_.size:
-            lo_o, hi_o = lo[open_], hi[open_]
-            mid = 0.5 * (lo_o + hi_o)
-            up = margins(shifted(open_, mid)) >= 0
-            lo[open_] = np.where(up, mid, lo_o)
-            hi[open_] = np.where(up, hi_o, mid)
-            # a row also stops once its bracket has no float strictly inside
-            open_ = open_[(hi[open_] - lo[open_] > tol_s) & (lo_o < mid) & (mid < hi_o)]
-        return m0, 0.5 * (lo + hi)
-
-    groups = _row_groups(stencil, ordering)
-    centers = [stencil.flat_interior[rows] for rows in groups]
-    op = None
-    if linear:
-        # a linear margin is a fixed map of the lattice values: each group
-        # sums one gather through its (K, rows) table in column order, and
-        # the shift is exact.  einsum drops a length-1 row axis and then sums
-        # out of order, so a one-row group carries its row twice
-        op = idx, coef, const = _linear_operator(stencil, lin_w)
-        blocks = [(idx[p].T.copy(), coef[p].T.copy(), const[rows], den_lo[rows])
-                  for rows in groups for p in [rows.repeat(2) if rows.size == 1 else rows]]
-    else:  # pencil tables and bracket ends; a closed bracket (box rows) is the root
-        tables = [(_pencil_table(stencil, rows), den_lo[rows], den_hi[rows], not use_bisection
-                   and np.array_equal(den_lo[rows], den_hi[rows])) for rows in groups]
+    # one record per row group: its centers, where it reads its margins m0,
+    # its bracket ends and whether the bracket is closed.  A linear margin
+    # is a fixed map of the lattice values: each group sums one gather
+    # through its (K, rows) table in column order.  einsum drops a length-1
+    # row axis and then sums out of order, so a one-row group carries its
+    # row twice.  Any other margin reads the group's pencil table.
+    op = _linear_operator(stencil, lin_w) if linear else None
+    records = []
+    for rows in filter(len, _row_groups(stencil, ordering)):   # a parity class can be empty
+        p = rows.repeat(2) if rows.size == 1 else rows
+        read = ((op[0][p].T.copy(), op[1][p].T.copy(), op[2][rows]) if linear
+                else _pencil_table(stencil, rows))
+        records.append((stencil.flat_interior[rows], read, den_lo[rows], den_hi[rows],
+                        not use_bisection and np.array_equal(den_lo[rows], den_hi[rows])))
     # ghosts are a function of the interior values: refresh them within
     # the sweeps only where an update reads one, and once after the sweeps
     refresh_in_sweeps = _reads_ghosts(stencil, op)
 
-    ends = np.cumsum([0] + [rows.size for rows in groups])  # a sweep's moves and margins
+    ends = np.cumsum([0] + [rec[0].size for rec in records])  # a sweep's moves and margins
     moves, met = np.zeros(ends[-1]), np.zeros(ends[-1])
 
     def update_rows(k: int) -> None:
-        """Move group k's rows by omega times their root shifts; record moves and margins."""
-        rows = groups[k]
-        if rows.size == 0:
-            return
+        """Move group k's rows by omega times their root shifts s of
+        margin(H - s diag(d) / h^2); record moves and margins."""
+        centers, read, group_lo, group_hi, closed = records[k]
         if linear:
-            idx_t, coef_t, c, den = blocks[k]
-            m0 = np.einsum("kr,kr->r", coef_t, flat.take(idx_t))[:rows.size] + c
-            shift = h2 * m0 / den
+            idx_t, coef_t, c = read
+            m0 = np.einsum("kr,kr->r", coef_t, flat.take(idx_t))[:centers.size] + c
         else:
-            m0, shift = pencil_shift(k)
-        f_idx = centers[k]
-        t = flat[f_idx]
+            a0, d = _node_pencil(stencil, flat, read)
+            m0 = margins(a0)
+        shift = h2 * m0 / group_lo      # the root, where the bracket is closed
+        if not closed:
+            def shifted(i, s):
+                return a0[i] - (s / h2)[:, None, None] * (d[i][:, :, None] * eye)
+
+            hi = h2 * m0 / group_hi
+            lo, hi = np.minimum(shift, hi), np.maximum(shift, hi)
+            if use_bisection:
+                pad = np.maximum(hi - lo, h2)
+                lo, hi = lo - pad, hi + pad
+                every = np.arange(m0.size)
+                bad = int(np.count_nonzero((margins(shifted(every, lo)) < 0)
+                                           | (margins(shifted(every, hi)) > 0)))
+                if bad:
+                    raise RuntimeError(f"bracket failure: the margin keeps its sign "
+                                       f"across the identity-shift bracket at {bad} nodes")
+            open_ = np.flatnonzero(hi - lo > tol_s)
+            while open_.size:
+                lo_o, hi_o = lo[open_], hi[open_]
+                mid = 0.5 * (lo_o + hi_o)
+                up = margins(shifted(open_, mid)) >= 0
+                lo[open_] = np.where(up, mid, lo_o)
+                hi[open_] = np.where(up, hi_o, mid)
+                # a row also stops once its bracket has no float strictly inside
+                open_ = open_[(hi[open_] - lo[open_] > tol_s) & (lo_o < mid) & (mid < hi_o)]
+            shift = 0.5 * (lo + hi)
+        t = flat[centers]
         t_new = t + omega * shift
-        flat[f_idx] = t_new
+        flat[centers] = t_new
         moves[ends[k]:ends[k + 1]], met[ends[k]:ends[k + 1]] = t_new - t, m0
 
     for sweeps in range(1, max_sweeps + 1):
-        for k in range(len(groups)):
+        for k in range(len(records)):
             if k and ordering == "redblack" and refresh_in_sweeps:
                 _refresh_ghosts(stencil, flat)
             update_rows(k)

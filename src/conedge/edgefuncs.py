@@ -100,8 +100,10 @@ def sub_test(u: GridField, h: EdgeQuadratic, tol: float = 0.0) -> tuple[bool, di
     """Does u <= h + tol on the boundary force u <= h + tol inside?
 
     Returns (result, info); when the boundary premise already fails the
-    implication holds vacuously and the info flags it.
+    implication holds vacuously and the info flags it.  tol must be finite.
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"sub_test: tol must be finite, got {tol!r}")
     geom = u.domain.geometry
     flat = u.values.ravel()
 

@@ -26,7 +26,9 @@ catalog's closed forms.  Each plane family is one `_PLANE_FAMILIES` row,
 which its validation, dimension, sampler and relations all read.
 
 Every sampler rests on one structured frame builder, `orthonormal_rows`:
-vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.
+vectors u_l with {u_l} + {M u_l} orthonormal over the structures M.  Its
+two-pass Gram-Schmidt step on a block of candidates, `_orthonormal_against`,
+is the one step of `_block_rows` and `canonical_form_ei` too.
 `plane_sampler` and `group_sampler` build their structures once and are
 cached per (frozen) family or group, so `sample_plane` and
 `sample_group_element` reuse them; `quaternion_triple` is cached per
@@ -367,16 +369,16 @@ class PlaneFamily:
         return count(self.ambient, self.p) * (1 + len(rows))
 
 
-def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray], tol: float):
-    """Project v off the span of rows and normalize; None if degenerate."""
+def _orthonormal_against(v: np.ndarray, rows: list[np.ndarray]):
+    """The one Gram-Schmidt step: a (k, n) block v projected twice off the
+    orthonormal rows (each (n,) or (k, n)), and the residuals' norms.  Dots
+    are `np.vecdot`, the BLAS dot of `w @ r`, so a block row equals its
+    one-row step bit for bit."""
     w = v.copy()
     for _ in range(2):
         for r in rows:
-            w -= (w @ r) * r
-    nw = np.linalg.norm(w)
-    if nw < tol:
-        return None
-    return w / nw
+            w -= np.vecdot(w, r)[:, None] * r
+    return w, np.sqrt(np.vecdot(w, w))
 
 
 def orthonormal_rows(candidates, count: int, mats) -> np.ndarray:
@@ -388,10 +390,10 @@ def orthonormal_rows(candidates, count: int, mats) -> np.ndarray:
     rows: list[np.ndarray] = []
     out = []
     for v in candidates:
-        u = _orthonormal_against(np.asarray(v, dtype=float), rows, GS_TOL)
-        if u is None:
+        w, nw = _orthonormal_against(np.asarray(v, dtype=float)[None], rows)
+        if nw[0] < GS_TOL:
             continue
-        out.append(u)
+        out.append(u := w[0] / nw[0])
         if len(out) == count:
             return np.array(out)
         rows.append(u)
@@ -402,21 +404,16 @@ def orthonormal_rows(candidates, count: int, mats) -> np.ndarray:
 
 def _block_rows(z: np.ndarray, mats) -> tuple[np.ndarray, int]:
     """`orthonormal_rows` on every frame of a (k, count, n) candidate block
-    at once, with no candidate skipped: one vectorized Gram-Schmidt step per
-    slot, in the sequential order and arithmetic (`np.vecdot` is the BLAS
-    dot of `w @ r`; signed-permutation structure images are exact), so a
-    frame equals its sequential draw bit for bit.  Returns the rows and the
-    index of the first frame with a degenerate candidate (k when there is
-    none); rows from that frame on are not valid."""
+    at once, with no candidate skipped: one `_orthonormal_against` step per
+    slot, in the sequential order (signed-permutation structure images are
+    exact), so a frame equals its sequential draw bit for bit.  Returns the
+    rows and the index of the first frame with a degenerate candidate (k
+    when there is none); rows from that frame on are not valid."""
     out = np.empty_like(z)
     bad = z.shape[0]
     rows: list[np.ndarray] = []
     for j in range(z.shape[1]):
-        w = z[:, j].copy()
-        for _ in range(2):
-            for r in rows:
-                w -= np.vecdot(w, r)[:, None] * r
-        nw = np.sqrt(np.vecdot(w, w))
+        w, nw = _orthonormal_against(z[:, j], rows)
         if nw.min(initial=np.inf) < GS_TOL:
             bad = min(bad, int(np.argmax(nw < GS_TOL)))
         out[:, j] = u = w / np.maximum(nw, GS_TOL)[:, None]
@@ -630,10 +627,11 @@ def canonical_form_ei(a: np.ndarray, trip: QuaternionTriple | None = None) -> Ca
         lam_i = lam[idx]
         if lam_i < -tol:
             raise ValueError("spectrum is not symmetric about zero")
-        v = _orthonormal_against(vec[:, idx], used, tol=1e-6)
+        w, nw = _orthonormal_against(vec[None, :, idx], used)
         idx += 1
-        if v is None:
+        if nw[0] < 1e-6:
             continue
+        v = w[0] / nw[0]
         # v sits in the eigenspace of +lam_i; its I-image does too, and the
         # J-, K-images span the paired -lam_i eigenspace.
         lambdas.append(max(lam_i, 0.0))

@@ -138,6 +138,22 @@ class TestOracleInputChecks:
         with pytest.raises(ValueError, match=rf"^{op}: matrix a rejected: .*not symmetric"):
             getattr(cone, op)(a)
 
+    @pytest.mark.parametrize("op", ["contains", "dual_contains"])
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tol_rejected_before_the_kernel(self, cone, op, tol, monkeypatch):
+        # -1 once called a margin of -0.5 interior; nan called every matrix boundary
+        def kernel(stack):
+            raise AssertionError("the margin kernel ran")
+        monkeypatch.setattr(cone, "_margins_and_witnesses", kernel)
+        with pytest.raises(ValueError, match=rf"^{op}: tol must be a finite number >= 0"):
+            getattr(cone, op)(np.eye(4), tol=tol)
+
+    @pytest.mark.parametrize("op", ["contains", "dual_contains"])
+    def test_zero_tol_accepted(self, cone, op):
+        zero, default = getattr(cone, op)(np.eye(4), tol=0), getattr(cone, op)(np.eye(4))
+        assert zero.tol == 0.0 and zero.margin == default.margin
+        assert zero.verdict == default.verdict == cn.Verdict.INTERIOR
+
 
 class TestMarginInputChecks:
     """margin checks its matrix as contains does."""
@@ -322,6 +338,12 @@ class TestBatchOfOne:
     def test_empty_stack(self, cone):
         signs, tols = cn.stack_verdicts(cone, [], 1.0)
         assert signs.shape == tols.shape == (0,)
+
+    @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
+    def test_bad_scale(self, cone, scale):
+        # nan once put every matrix in the dead band
+        with pytest.raises(ValueError, match=r"^stack_verdicts: scale must be a finite number"):
+            cn.stack_verdicts(cone, np.eye(4)[None], scale)
 
 
 class TestOneMarginKernel:

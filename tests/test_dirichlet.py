@@ -788,6 +788,71 @@ class TestBoxSolveProperties:
         assert np.abs(fields["lex"] - fields["redblack"]).max() <= self.ORDERINGS * self.TOL
 
 
+class TestBallSolveProperties:
+    # ball solves, whose cut-cell rows the pencil and the linear table read
+    # through the ghost extrapolation, held to tolerance as the box solves
+    # are: affine data is reproduced (the extrapolation is exact on affine
+    # functions), a constant shift of the data shifts the field by that
+    # constant, and lex agrees with red-black.  The first two run
+    # red-black, two seeds each; the smooth-data solves depend on no seed
+    # and run once per class (the smooth fixture).  Bounds are multiples of tol fitted per grid
+    # (the update stop's distance from the fixed point grows with the
+    # grid); the largest values seen over seeds 0-5 are in the comments
+    TOL = 1e-9
+    CASES = {
+        "P2-disk": ("P", 2, dict(radius=1.0, h=0.25), smooth2),
+        "laplace2-disk": ("laplace", 2, dict(radius=1.0, h=0.25), smooth2),
+        "P3-ball": ("P", 3, dict(radius=1.0, h=0.25, dim=3), smooth3),
+    }
+    BOUNDS = {                        # affine, shift, lex vs red-black
+        "P2-disk": (8.0, 1e-5, 1.5),          # seen: 5.7, 4.4e-7, 0.78
+        "laplace2-disk": (1.0, 1e-5, 0.7),    # seen: 0.47, 6.7e-7, 0.34
+        "P3-ball": (8.0, 1e-5, 1.5),          # seen: 5.7, 6.7e-7, 0.92
+    }
+
+    def solve(self, case, data, ordering):
+        name, n, ball, _ = self.CASES[case]
+        dom = dh.GridDomain.ball(**ball)
+        u, info = dh.perron_solve(cat.build_cone(name, n), dom, data,
+                                  ordering=ordering, tol=self.TOL)
+        assert info.converged
+        return dom, u.values[dom.interior]
+
+    @pytest.fixture(scope="class")
+    def smooth(self):
+        """The smooth-data fields, each solved once per class."""
+        fields = {}
+
+        def field(case, ordering):
+            if (case, ordering) not in fields:
+                fields[case, ordering] = self.solve(case, self.CASES[case][3], ordering)[1]
+            return fields[case, ordering]
+        return field
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_affine_data_reproduced(self, case, seed):
+        rng = np.random.default_rng(seed)
+        c0, b = rng.normal(), rng.normal(size=self.CASES[case][1])
+        affine = lambda p: c0 + p @ b
+        dom, u = self.solve(case, affine, "redblack")
+        error = np.abs(u - affine(dom.coords()[dom.interior])).max()
+        assert error <= self.BOUNDS[case][0] * self.TOL
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_constant_shift(self, case, seed, smooth):
+        phi, c = self.CASES[case][3], np.random.default_rng(seed).uniform(-2.0, 2.0)
+        u_c = self.solve(case, lambda p: phi(p) + c, "redblack")[1]
+        error = np.abs(u_c - smooth(case, "redblack") - c).max()
+        assert error <= self.BOUNDS[case][1] * self.TOL
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lex_equals_red_black(self, case, smooth):
+        gap = np.abs(smooth(case, "lex") - smooth(case, "redblack")).max()
+        assert gap <= self.BOUNDS[case][2] * self.TOL
+
+
 def dense_jacobi_radius(dom, weights):
     """Spectral radius of the dense Jacobi matrix of <D^2 u, diag(w)> = 0,
     assembled node by node from the stencil tables (ghost sides weigh

@@ -175,6 +175,16 @@ class TestSubTest:
         ok, info = ef.sub_test(u, h)
         assert ok and info["vacuous"] and not info["premise_holds"]
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tol(self, tol):
+        # nan once gave (True, {"vacuous": True}), a false "holds"
+        dom = dh.GridDomain.box([-1.0], [1.0], 0.25)
+        u = grid_from(lambda p: -p[:, 0] ** 2 + 1.0, dom)
+        h = ef.make_edge_quadratic(ss.zero_subspace(1), 0.0, np.zeros(1),
+                                   np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=r"^sub_test: tol must be finite"):
+            ef.sub_test(u, h, tol=tol)
+
     @staticmethod
     def full_lattice_sub_test(u, h, tol):
         """sub_test with the quadratic evaluated on the whole lattice."""
