@@ -141,7 +141,7 @@ class TestOracleInputChecks:
     @pytest.mark.parametrize("op", ["contains", "dual_contains"])
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_bad_tol_rejected_before_the_kernel(self, cone, op, tol, monkeypatch):
-        # -1 once called a margin of -0.5 interior; nan called every matrix boundary
+        # unchecked, tol=-1 calls a margin of -0.5 interior and nan calls every matrix boundary
         def kernel(stack):
             raise AssertionError("the margin kernel ran")
         monkeypatch.setattr(cone, "_margins_and_witnesses", kernel)
@@ -341,7 +341,7 @@ class TestBatchOfOne:
 
     @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
     def test_bad_scale(self, cone, scale):
-        # nan once put every matrix in the dead band
+        # unchecked, scale=nan puts every matrix in the dead band
         with pytest.raises(ValueError, match=r"^stack_verdicts: scale must be a finite number"):
             cn.stack_verdicts(cone, np.eye(4)[None], scale)
 

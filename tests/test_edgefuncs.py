@@ -177,7 +177,7 @@ class TestSubTest:
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
     def test_non_finite_tol(self, tol):
-        # nan once gave (True, {"vacuous": True}), a false "holds"
+        # unchecked, tol=nan gives (True, {"vacuous": True}), a false "holds"
         dom = dh.GridDomain.box([-1.0], [1.0], 0.25)
         u = grid_from(lambda p: -p[:, 0] ** 2 + 1.0, dom)
         h = ef.make_edge_quadratic(ss.zero_subspace(1), 0.0, np.zeros(1),
